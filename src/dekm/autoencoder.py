@@ -92,15 +92,16 @@ def _forward(ws, bs, x):
 
 def _backward(ws, acts, delta):
     """Backprop ``delta`` (dL/d output) through one chain; returns per-layer
-    weight/bias gradients and dL/d input."""
+    weight/bias gradients and dL/dz0 at the first layer's pre-activation.
+    dL/d input is ``dz0 @ ws[0].T``, left to the callers that need it."""
     gw = [None] * len(ws)
     gb = [None] * len(ws)
-    for i in range(len(ws) - 1, -1, -1):
-        if i != len(ws) - 1:
-            delta = delta * (acts[i + 1] > 0.0)
+    last = len(ws) - 1
+    for i in range(last, -1, -1):
+        if i != last:
+            delta = (delta @ ws[i + 1].T) * (acts[i + 1] > 0.0)
         gw[i] = acts[i].T @ delta
         gb[i] = delta.sum(axis=0)
-        delta = delta @ ws[i].T
     return gw, gb, delta
 
 
@@ -141,8 +142,8 @@ def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray):
     dec_acts = _forward(m.dec_w, m.dec_b, enc_acts[-1])
     diff = dec_acts[-1] - x
     loss = float(np.sum(diff * diff))
-    dgw, dgb, dh = _backward(m.dec_w, dec_acts, 2.0 * diff)
-    egw, egb, _ = _backward(m.enc_w, enc_acts, dh)
+    dgw, dgb, dz0 = _backward(m.dec_w, dec_acts, 2.0 * diff)
+    egw, egb, _ = _backward(m.enc_w, enc_acts, dz0 @ m.dec_w[0].T)
     return egw + egb + dgw + dgb, loss
 
 

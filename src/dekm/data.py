@@ -64,8 +64,9 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 def load_csv(path, has_labels_column: bool = False) -> Dataset:
     """Load a rectangular numeric CSV, optionally with a final integer label
-    column. No normalization is applied."""
+    column. No normalization is applied; nan and inf cells are rejected."""
     rows: list[list[float]] = []
+    linenos: list[int] = []
     width = None
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -84,9 +85,16 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
             except ValueError as exc:
                 bad = next(i for i, c in enumerate(cells) if not _is_number(c))
                 raise FormatError(f"{path}:{lineno}: column {bad + 1}: {exc}") from exc
+            linenos.append(lineno)
     if not rows:
         raise FormatError(f"{path}: no data rows")
     a = np.array(rows, dtype=np.float64)
+    nonfinite = np.argwhere(~np.isfinite(a))
+    if nonfinite.size:
+        i, j = nonfinite[0]
+        raise FormatError(
+            f"{path}:{linenos[i]}: column {j + 1}: non-finite value {float(a[i, j])}"
+        )
     if has_labels_column:
         if a.shape[1] < 2:
             raise FormatError(f"{path}: label column requested but only one column present")

@@ -24,14 +24,15 @@ class ClusterResult:
     inertia_trace: list[float] = field(default_factory=list)
 
 
-def _sq_dists(h: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared euclidean distances."""
+def _row_norms(h: np.ndarray) -> np.ndarray:
+    return np.sum(h * h, axis=1)
+
+
+def _sq_dists(h: np.ndarray, centroids: np.ndarray, h_norms: np.ndarray) -> np.ndarray:
+    """(n, k) squared euclidean distances; ``h_norms`` is ``_row_norms(h)``,
+    computed once by callers that reuse one ``h`` across many calls."""
     # ||h||^2 - 2 h.c + ||c||^2, clipped against tiny negative round-off
-    d = (
-        np.sum(h * h, axis=1)[:, None]
-        - 2.0 * h @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
+    d = h_norms[:, None] - 2.0 * (h @ centroids.T) + _row_norms(centroids)[None, :]
     return np.maximum(d, 0.0)
 
 
@@ -45,9 +46,10 @@ def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
         raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
+    h_norms = _row_norms(h)
     chosen = np.empty(k, dtype=int)
     chosen[0] = rng.integers(n)
-    d2 = _sq_dists(h, h[chosen[:1]])[:, 0]
+    d2 = _sq_dists(h, h[chosen[:1]], h_norms)[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -57,17 +59,15 @@ def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
         else:
             idx = int(rng.integers(n))  # all mass on chosen points (duplicates)
         chosen[i] = idx
-        d2 = np.minimum(d2, _sq_dists(h, h[idx : idx + 1])[:, 0])
+        d2 = np.minimum(d2, _sq_dists(h, h[idx : idx + 1], h_norms)[:, 0])
     return h[chosen].copy()
-
-
-def _assign(h: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.argmin(_sq_dists(h, centroids), axis=1)  # argmin takes lowest index on ties
 
 
 def _repair_empty(h, assignments, centroids, k):
     """Move the globally farthest-from-its-centroid point into each empty
     cluster."""
+    if np.bincount(assignments, minlength=k).min() > 0:
+        return assignments, centroids
     for j in range(k):
         if np.any(assignments == j):
             continue
@@ -111,13 +111,15 @@ def lloyd(
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
 
+    h_norms = _row_norms(h)
     centroids = init_centroids.copy()
     assignments = None
     trace: list[float] = []
     prev_inertia = np.inf
     iterations = 0
     for _ in range(max_iter):
-        new_assign = _assign(h, centroids)
+        # argmin takes the lowest index on ties
+        new_assign = np.argmin(_sq_dists(h, centroids, h_norms), axis=1)
         new_assign, centroids = _repair_empty(h, new_assign, centroids, k)
         centroids = _means(h, new_assign, k, centroids)
         inertia = float(np.sum((h - centroids[new_assign]) ** 2))

@@ -1,8 +1,8 @@
-"""Symmetric eigendecomposition by cyclic Jacobi rotations.
+"""Symmetric eigendecomposition by LAPACK ``eigh`` (``np.linalg.eigh``).
 
-All matrices are dense float64 numpy arrays. The solver targets the small
-matrices this package produces (embedding dims, typically <= 64), where
-Jacobi sweeps are robust and fast enough.
+All matrices are dense float64 numpy arrays. The result is put in a fixed
+form (eigenvectors as rows, ascending eigenvalues, a deterministic sign per
+eigenvector) so that callers do not depend on LAPACK's conventions.
 """
 
 from dataclasses import dataclass
@@ -10,9 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NumericError
-
-MAX_SWEEPS = 100
-OFFDIAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -27,74 +24,28 @@ class TransformState:
     eigenvalues: np.ndarray
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero out a[p, q] with a Givens rotation, accumulating into v."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    # Smaller-magnitude root of t^2 + 2*theta*t - 1 = 0 for stability.
-    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0.0 else 1.0
-    c = 1.0 / np.hypot(t, 1.0)
-    s = t * c
-
-    rot = np.array([[c, s], [-s, c]])
-    rows = a[[p, q], :]
-    a[[p, q], :] = rot.T @ rows
-    cols = a[:, [p, q]]
-    a[:, [p, q]] = cols @ rot
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    v[[p, q], :] = rot.T @ v[[p, q], :]
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.square(a - np.diag(np.diag(a))))))
-
-
 def sym_eig(s: np.ndarray) -> TransformState:
     """Eigendecompose a symmetric matrix.
 
-    The input is symmetrized by averaging with its transpose before
-    iterating. Raises NumericError on non-finite entries and
-    ConvergenceError if the off-diagonal mass does not shrink below
-    ``OFFDIAG_TOL * ||s||_F`` within ``MAX_SWEEPS`` sweeps.
+    The input is symmetrized by averaging with its transpose first. Raises
+    NumericError on non-finite entries and ConvergenceError if LAPACK fails
+    to converge.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise NumericError("matrix contains non-finite entries")
-
-    e = s.shape[0]
-    a = 0.5 * (s + s.T)
-    v = np.eye(e)
-
-    frob = float(np.linalg.norm(a))
-    tol = OFFDIAG_TOL * frob
-    if frob == 0.0 or e == 1:
-        return _finalize(a, v)
-
-    for _ in range(MAX_SWEEPS):
-        if _offdiag_norm(a) <= tol:
-            break
-        for p in range(e - 1):
-            for q in range(p + 1, e):
-                _jacobi_rotate(a, v, p, q)
-    else:
-        residual = _offdiag_norm(a)
-        if residual > tol:
-            raise ConvergenceError(
-                f"Jacobi sweeps exhausted; off-diagonal residual {residual:.3e} "
-                f"exceeds tolerance {tol:.3e}"
-            )
-    return _finalize(a, v)
+    try:
+        eigenvalues, vecs = np.linalg.eigh(0.5 * (s + s.T))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    return _finalize(eigenvalues, vecs.T)
 
 
-def _finalize(a: np.ndarray, v: np.ndarray) -> TransformState:
-    """Sort eigenpairs ascending and fix eigenvector signs."""
-    eigenvalues = np.diag(a).copy()
+def _finalize(eigenvalues: np.ndarray, v: np.ndarray) -> TransformState:
+    """Sort eigenpairs ascending and fix eigenvector signs; ``v`` holds the
+    eigenvectors as rows."""
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     v = v[order]

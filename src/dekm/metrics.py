@@ -73,9 +73,9 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
     size = max(r, c)
     padded = np.zeros((size, size))
     padded[:r, :c] = cost
-    rows, cols = linear_sum_assignment(padded)
-    assignment = np.array([cols[np.where(rows == i)[0][0]] for i in range(size)])
-    total = float(sum(cost[i, assignment[i]] for i in range(r) if assignment[i] < c))
+    _, assignment = linear_sum_assignment(padded)  # rows come back as arange(size)
+    real = np.flatnonzero(assignment[:r] < c)
+    total = float(cost[real, assignment[real]].sum())
     return assignment, total
 
 
@@ -84,13 +84,8 @@ def acc(g, c) -> float:
     mapping between cluster labels and ground-truth labels."""
     g, c = _check_pair(g, c)
     table = contingency(g, c)  # rows g, cols c
-    assignment, _ = hungarian(-table.astype(np.float64).T)  # maximize matches
-    matched = sum(
-        table[assignment[j], j]
-        for j in range(table.shape[1])
-        if assignment[j] < table.shape[0]
-    )
-    return float(matched) / len(g)
+    _, total = hungarian(-table.astype(np.float64).T)  # maximize matches
+    return -total / len(g)
 
 
 def align_labels(reference, labels) -> np.ndarray:

@@ -1,10 +1,15 @@
-"""Shared oracles: independent brute-force / finite-difference references
-the fast paths are checked against."""
+"""Shared oracles: independent brute-force / finite-difference / Jacobi
+references the fast paths are checked against."""
 
 import itertools
 
 import numpy as np
 import pytest
+
+from dekm.errors import ConvergenceError
+
+MAX_SWEEPS = 100
+OFFDIAG_TOL = 1e-10
 
 
 def relu_pattern(model, x, encoder_only=False):
@@ -117,6 +122,58 @@ def brute_force_matching(cost):
         if total < best[0]:
             best = (total, perm)
     return best
+
+
+def _jacobi_rotate(a, v, p, q):
+    """Zero out a[p, q] with a Givens rotation, accumulating into v."""
+    apq = a[p, q]
+    if apq == 0.0:
+        return
+    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+    # Smaller-magnitude root of t^2 + 2*theta*t - 1 = 0 for stability.
+    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0.0 else 1.0
+    c = 1.0 / np.hypot(t, 1.0)
+    s = t * c
+
+    rot = np.array([[c, s], [-s, c]])
+    rows = a[[p, q], :]
+    a[[p, q], :] = rot.T @ rows
+    cols = a[:, [p, q]]
+    a[:, [p, q]] = cols @ rot
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+
+    v[[p, q], :] = rot.T @ v[[p, q], :]
+
+
+def _offdiag_norm(a):
+    return float(np.sqrt(np.sum(np.square(a - np.diag(np.diag(a))))))
+
+
+def jacobi_eig(s):
+    """Cyclic-Jacobi eigendecomposition of a symmetric matrix, an oracle
+    independent of LAPACK. Returns (ascending eigenvalues, eigenvectors as
+    rows). Raises ConvergenceError if the off-diagonal mass does not shrink
+    below ``OFFDIAG_TOL * ||s||_F`` within ``MAX_SWEEPS`` sweeps."""
+    a = 0.5 * (s + s.T)
+    e = a.shape[0]
+    v = np.eye(e)
+    tol = OFFDIAG_TOL * float(np.linalg.norm(a))
+    for _ in range(MAX_SWEEPS):
+        if _offdiag_norm(a) <= tol:
+            break
+        for p in range(e - 1):
+            for q in range(p + 1, e):
+                _jacobi_rotate(a, v, p, q)
+    else:
+        residual = _offdiag_norm(a)
+        if residual > tol:
+            raise ConvergenceError(
+                f"Jacobi sweeps exhausted; off-diagonal residual {residual:.3e} "
+                f"exceeds tolerance {tol:.3e}"
+            )
+    order = np.argsort(np.diag(a), kind="stable")
+    return np.diag(a)[order], v[order]
 
 
 @pytest.fixture

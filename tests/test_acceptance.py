@@ -20,6 +20,7 @@ from conftest import (
     brute_force_acc,
     brute_force_kmeans,
     finite_difference_grads,
+    jacobi_eig,
     max_gradient_rel_error,
     relu_pattern,
 )
@@ -41,19 +42,27 @@ def test_criterion_1_entropy_golden_values():
 
 def test_criterion_2_eigensolver_suite():
     rng = np.random.default_rng(2024)
-    worst_orth = worst_recon = 0.0
+    worst_orth = worst_recon = worst_oracle = 0.0
     for _ in range(200):
         e = int(rng.integers(1, 17))
         a = rng.normal(size=(e, e)) * rng.uniform(0.1, 10)
         s = a + a.T
         ts = sym_eig(s)
+        scale = 1.0 + np.max(np.abs(s))
         worst_orth = max(worst_orth, float(np.max(np.abs(ts.v @ ts.v.T - np.eye(e)))))
         recon = np.max(np.abs(ts.v.T @ np.diag(ts.eigenvalues) @ ts.v - s))
-        worst_recon = max(worst_recon, float(recon / (1.0 + np.max(np.abs(s)))))
+        worst_recon = max(worst_recon, float(recon / scale))
+        oracle = np.max(np.abs(ts.eigenvalues - jacobi_eig(s)[0]))
+        worst_oracle = max(worst_oracle, float(oracle / scale))
         assert np.all(np.diff(ts.eigenvalues) >= 0.0)
     assert worst_orth < 1e-8
     assert worst_recon < 1e-8
-    report(2, f"200 matrices, orth {worst_orth:.2e}, recon {worst_recon:.2e}")
+    assert worst_oracle < 1e-8
+    report(
+        2,
+        f"200 matrices, orth {worst_orth:.2e}, recon {worst_recon:.2e}, "
+        f"vs Jacobi {worst_oracle:.2e}",
+    )
 
 
 def test_criterion_3_trace_transform_identity():

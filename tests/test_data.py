@@ -84,6 +84,18 @@ def test_load_csv_ragged_and_non_numeric(tmp_path):
         data.load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    p = tmp_path / "n.csv"
+    # the blank line must not shift the reported line number
+    p.write_text(f"1.0,2.0,0\n\n{cell},3.0,1\n")
+    with pytest.raises(FormatError, match=rf"n\.csv:3: column 1: non-finite value {cell}"):
+        data.load_csv(p, has_labels_column=True)
+    p.write_text(f"1.0,2.0,0\n4.0,3.0,{cell}\n")
+    with pytest.raises(FormatError, match="n.csv:2: column 3"):
+        data.load_csv(p, has_labels_column=True)
+
+
 def test_csv_roundtrip_bit_exact(tmp_path, rng):
     x = rng.normal(size=(1000, 5))
     labels = rng.integers(4, size=1000)

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from dekm import kmeans as km
+from dekm import data, kmeans as km
 from dekm.errors import ConfigurationError, DimensionError
 from dekm.linalg import sym_eig
 
@@ -104,6 +106,72 @@ def test_empty_cluster_repair():
     init = np.array([[0.05], [0.15], [100.0]])
     res = km.lloyd(h, 3, init)
     assert set(res.assignments.tolist()) == {0, 1, 2}
+
+
+def _sha256(a, dtype):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+
+
+def _uncached_sq_dists(h, c, h_norms):
+    # the distance formula before the row norms were cached: recomputes
+    # ||h||^2 and scales h, not h @ c.T, by 2
+    del h_norms
+    return np.maximum(
+        np.sum(h * h, 1)[:, None] - 2.0 * h @ c.T + np.sum(c * c, 1)[None, :], 0.0
+    )
+
+
+def _pinned_input():
+    ds = data.gen_synthetic(
+        k=32, per_cluster_n=25, latent_dim=8, ambient_dim=16, separation=3.0, seed=2109
+    )
+    return ds.x
+
+
+def test_kmeans_trajectory_is_pinned():
+    # Digests of a k=32 seeding and Lloyd run from the uncached distance
+    # formula: reordering the float arithmetic in either changes them. The
+    # GEMM summation order belongs to the BLAS kernel, so they hold for the
+    # BLAS build they were recorded with (OpenBLAS, x86-64);
+    # test_kmeans_trajectory_matches_uncached_distances checks the same
+    # property on any BLAS.
+    x = _pinned_input()
+    seeds = km.kmeanspp_init(x, 32, 15149)
+    res = km.lloyd(x, 32, seeds)
+    assert _sha256(seeds, "<f8") == (
+        "f1a1ba0b1c634f38505dd9558156f3ad07b9a03ecda2384b57555963b0e60a84"
+    )
+    assert _sha256(res.assignments, "<i8") == (
+        "027be8d55629280a02375b9dd48479263d2e6cb1296f54a2fe7057bd967add5e"
+    )
+    assert _sha256(res.centroids, "<f8") == (
+        "097d423dd1c3d284a4e4649d992babdafa4be02c01b4e33e19ad09c103aadaf2"
+    )
+    assert _sha256(res.inertia_trace, "<f8") == (
+        "cefd9e365cf6177ea70830fbd5b9ebeb2176a6b076043816a6401bc31fafbccd"
+    )
+    assert res.iterations_run == 16
+
+
+def test_kmeans_trajectory_matches_uncached_distances(monkeypatch):
+    x = _pinned_input()
+    seeds = km.kmeanspp_init(x, 32, 15149)
+    res = km.lloyd(x, 32, seeds)
+    monkeypatch.setattr(km, "_sq_dists", _uncached_sq_dists)
+    ref_seeds = km.kmeanspp_init(x, 32, 15149)
+    ref = km.lloyd(x, 32, ref_seeds)
+    assert np.array_equal(seeds, ref_seeds)
+    assert np.array_equal(res.assignments, ref.assignments)
+    assert np.array_equal(res.centroids, ref.centroids)
+    assert res.inertia_trace == ref.inertia_trace
+    assert res.iterations_run == ref.iterations_run
+
+
+def test_sq_dists_cached_norms_are_bit_identical(rng):
+    h = rng.normal(size=(300, 7)) * 3.0
+    c = rng.normal(size=(11, 7))
+    cached = km._sq_dists(h, c, km._row_norms(h))
+    assert np.array_equal(cached, _uncached_sq_dists(h, c, None))
 
 
 def test_within_class_scatter_zero_when_points_are_centroids():

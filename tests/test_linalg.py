@@ -4,6 +4,8 @@ import pytest
 from dekm.errors import ConvergenceError, DimensionError, NumericError
 from dekm.linalg import sym_eig
 
+import conftest
+
 
 def reconstruction_residual(s, ts):
     return np.max(np.abs(ts.v.T @ np.diag(ts.eigenvalues) @ ts.v - s))
@@ -89,9 +91,35 @@ def test_errors():
 
 
 def test_convergence_error_is_reachable(monkeypatch):
-    import dekm.linalg as linalg
-
-    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+    # the Jacobi oracle's sweep limit
+    monkeypatch.setattr(conftest, "MAX_SWEEPS", 0)
     a = np.random.default_rng(0).normal(size=(6, 6))
     with pytest.raises(ConvergenceError):
-        linalg.sym_eig(a + a.T)
+        conftest.jacobi_eig(a + a.T)
+
+
+def test_lapack_failure_raises_convergence_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        sym_eig(np.eye(3))
+
+
+def test_eigenvectors_match_jacobi_oracle(rng):
+    # criterion 2 compares eigenvalues with the oracle; this compares the
+    # eigenvectors, up to sign, where the spectrum is well separated
+    for _ in range(20):
+        e = int(rng.integers(1, 33))
+        a = rng.normal(size=(e, e))
+        s = a @ a.T  # positive semi-definite, like a scatter matrix
+        ts = sym_eig(s)
+        values, vectors = conftest.jacobi_eig(s)
+        scale = 1.0 + np.max(np.abs(s))
+        gaps = np.diff(values)
+        for i in range(e):
+            left = gaps[i - 1] if i > 0 else np.inf
+            right = gaps[i] if i < e - 1 else np.inf
+            if min(left, right) > 1e-3 * scale:
+                assert abs(abs(ts.v[i] @ vectors[i]) - 1.0) < 1e-6

@@ -83,6 +83,22 @@ def test_hungarian_matches_brute_force(rng):
         assert total == pytest.approx(best_total, abs=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+def test_hungarian_rectangular_marks_unmatched(rng, shape):
+    r, c = shape
+    for _ in range(20):
+        cost = rng.normal(size=shape)
+        assignment, total = metrics.hungarian(cost)
+        padded = np.zeros((max(shape), max(shape)))
+        padded[:r, :c] = cost
+        best, _ = brute_force_matching(padded)
+        assert sorted(assignment.tolist()) == list(range(max(shape)))
+        real = [(i, j) for i, j in enumerate(assignment[:r]) if j < c]
+        assert len(real) == min(shape)
+        assert total == pytest.approx(sum(cost[i, j] for i, j in real), abs=1e-12)
+        assert total == pytest.approx(best, abs=1e-12)
+
+
 def test_hungarian_rejects_nonfinite():
     with pytest.raises(NumericError):
         metrics.hungarian(np.array([[1.0, np.inf], [0.0, 1.0]]))
