@@ -25,7 +25,7 @@ import numpy as np
 from . import autoencoder as ae
 from . import core, data, metrics
 from .config import ExperimentConfig, load_config
-from .errors import ConfigurationError, DekmError
+from .errors import ConfigurationError, DekmError, FormatError
 
 
 def _load_dataset(cfg: ExperimentConfig) -> data.Dataset:
@@ -240,10 +240,17 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
 def _read_label_file(path) -> np.ndarray:
     vals = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                vals.append(int(float(line.split(",")[0])))
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            cell = line.split(",")[0].strip()
+            try:
+                v = float(cell)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not (v.is_integer() and abs(v) < 2.0**63):
+                raise FormatError(f"{path}:{lineno}: label {cell!r} is not a 64-bit integer")
+            vals.append(int(v))
     if not vals:
         raise ConfigurationError(f"{path}: no labels")
     return np.array(vals, dtype=int)

@@ -29,6 +29,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
         if not isinstance(self.dataset, dict):
             raise ConfigurationError("dataset must be a mapping")
+        unknown = set(self.dekm) - set(DekmConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigurationError(f"unknown dekm config keys: {sorted(unknown)}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -98,7 +98,15 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
     if has_labels_column:
         if a.shape[1] < 2:
             raise FormatError(f"{path}: label column requested but only one column present")
-        return Dataset(x=a[:, :-1], labels=a[:, -1].astype(int), name="csv")
+        labels = a[:, -1]
+        bad = np.flatnonzero((labels != np.trunc(labels)) | (np.abs(labels) >= 2.0**63))
+        if bad.size:
+            i = bad[0]
+            raise FormatError(
+                f"{path}:{linenos[i]}: column {a.shape[1]}: "
+                f"label {float(labels[i])} is not a 64-bit integer"
+            )
+        return Dataset(x=a[:, :-1], labels=labels.astype(int), name="csv")
     return Dataset(x=a, name="csv")
 
 

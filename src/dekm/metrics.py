@@ -16,6 +16,10 @@ def _as_labels(v) -> np.ndarray:
     a = np.asarray(v)
     if a.ndim != 1:
         raise DimensionError(f"label vector must be 1-D, got shape {a.shape}")
+    if a.dtype.kind == "f":
+        # |a| < 2**63 also rejects nan and inf, and keeps the int64 cast exact
+        if not (np.all(np.abs(a) < 2.0**63) and np.array_equal(a, np.trunc(a))):
+            raise ConfigurationError("labels must be 64-bit integers")
     return a.astype(int)
 
 
@@ -28,13 +32,19 @@ def _check_pair(g, c) -> tuple[np.ndarray, np.ndarray]:
     return g, c
 
 
+def _count_table(g: np.ndarray, c: np.ndarray):
+    """Joint counts of the distinct g (rows) and c (cols) labels; also
+    returns those labels and c's indices into them."""
+    g_vals, gi = np.unique(g, return_inverse=True)
+    c_vals, ci = np.unique(c, return_inverse=True)
+    table = np.zeros((len(g_vals), len(c_vals)), dtype=np.int64)
+    np.add.at(table, (gi, ci), 1)
+    return table, g_vals, c_vals, ci
+
+
 def contingency(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Joint count matrix, rows indexed by distinct g labels, cols by c."""
-    _, gi = np.unique(g, return_inverse=True)
-    _, ci = np.unique(c, return_inverse=True)
-    table = np.zeros((gi.max() + 1, ci.max() + 1), dtype=np.int64)
-    np.add.at(table, (gi, ci), 1)
-    return table
+    return _count_table(g, c)[0]
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -93,19 +103,13 @@ def align_labels(reference, labels) -> np.ndarray:
     with ``reference``. Unmatched cluster labels keep fresh indices past the
     reference range."""
     reference, labels = _check_pair(reference, labels)
-    ref_vals, ri = np.unique(reference, return_inverse=True)
-    lab_vals, li = np.unique(labels, return_inverse=True)
-    table = np.zeros((len(ref_vals), len(lab_vals)), dtype=np.int64)
-    np.add.at(table, (ri, li), 1)
+    table, ref_vals, lab_vals, li = _count_table(reference, labels)
     assignment, _ = hungarian(-table.astype(np.float64).T)
+    match = assignment[: len(lab_vals)]
+    matched = match < len(ref_vals)
     out_map = np.empty(len(lab_vals), dtype=ref_vals.dtype)
-    next_fresh = ref_vals.max() + 1
-    for j in range(len(lab_vals)):
-        if assignment[j] < len(ref_vals):
-            out_map[j] = ref_vals[assignment[j]]
-        else:
-            out_map[j] = next_fresh
-            next_fresh += 1
+    out_map[matched] = ref_vals[match[matched]]
+    out_map[~matched] = ref_vals.max() + 1 + np.arange(np.count_nonzero(~matched))
     return out_map[li]
 
 

@@ -1,7 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import dekm.autoencoder as ae
+from dekm import data
+from dekm.core import DekmConfig, run_dekm
 from dekm.errors import ConfigurationError, DimensionError, DivergenceError, FormatError
 
 from conftest import finite_difference_grads, max_gradient_rel_error, relu_pattern
@@ -233,3 +238,167 @@ def test_checkpoint_version_check(tmp_path):
     path.write_text('{"version": 999}')
     with pytest.raises(FormatError):
         ae.load_checkpoint(path)
+
+
+# Out-of-place reference numerics: the textbook expressions that the chunked
+# in-place Adam and the single-buffer layers must reproduce bit for bit.
+
+
+def _textbook_adam_step(params, grads, state):
+    state.t += 1
+    b1t = 1.0 - state.beta1 ** state.t
+    b2t = 1.0 - state.beta2 ** state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.lr * (m / b1t) / (np.sqrt(v / b2t) + state.eps)
+    return params, state
+
+
+def _textbook_forward(ws, bs, x):
+    acts = [x]
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        z = acts[-1] @ w + b
+        acts.append(z if i == len(ws) - 1 else np.maximum(z, 0.0))
+    return acts
+
+
+def _textbook_backward(ws, acts, delta):
+    gw, gb = [None] * len(ws), [None] * len(ws)
+    for i in range(len(ws) - 1, -1, -1):
+        if i != len(ws) - 1:
+            delta = (delta @ ws[i + 1].T) * (acts[i + 1] > 0.0)
+        gw[i] = acts[i].T @ delta
+        gb[i] = delta.sum(axis=0)
+    return gw, gb, delta
+
+
+def _use_textbook_numerics(monkeypatch):
+    monkeypatch.setattr(ae, "adam_step", _textbook_adam_step)
+    monkeypatch.setattr(ae, "_forward", _textbook_forward)
+    monkeypatch.setattr(ae, "_output", lambda ws, bs, x: _textbook_forward(ws, bs, x)[-1])
+    monkeypatch.setattr(ae, "_backward", _textbook_backward)
+
+
+def test_adam_step_matches_textbook_formula_bit_for_bit():
+    rng = np.random.default_rng(4)
+    # one parameter spans three chunks (the last one partial), one is a scalar
+    shapes = [(3 * ae.ADAM_CHUNK // 100 + 7, 100), (1,), (5, 3)]
+    assert shapes[0][0] * shapes[0][1] > 2 * ae.ADAM_CHUNK
+    params = [rng.normal(size=s) for s in shapes]
+    ref = [p.copy() for p in params]
+    state = ae.AdamState.for_params(params, lr=0.01)
+    ref_state = ae.AdamState.for_params(ref, lr=0.01)
+    for _ in range(5):
+        grads = [rng.normal(size=s) for s in shapes]
+        ae.adam_step(params, grads, state)
+        _textbook_adam_step(ref, grads, ref_state)
+    assert state.t == ref_state.t == 5
+    for got, want in zip(params + state.m + state.v, ref + ref_state.m + ref_state.v):
+        assert np.array_equal(got, want)
+
+
+def test_adam_rejects_non_contiguous_params_and_moments():
+    # a flat view of a strided array is a copy, so its update would be lost
+    strided = np.zeros((4, 6))[:, ::2]
+    p, g = np.zeros((4, 3)), np.ones((4, 3))
+    state = ae.AdamState.for_params([p])
+    with pytest.raises(DimensionError, match="contiguous"):
+        ae.adam_step([strided], [g], state)
+    state.v = [np.zeros((3, 4)).T]
+    with pytest.raises(DimensionError, match="contiguous"):
+        ae.adam_step([p], [g], state)
+    assert state.t == 0
+    with pytest.raises(DimensionError):
+        ae.adam_step([p], [np.ones((3, 4))], ae.AdamState.for_params([p]))
+
+
+def test_encode_and_backprop_match_textbook_formula_bit_for_bit(rng):
+    m = ae.xavier_init([6, 9, 7, 3], seed=12)
+    x = rng.normal(size=(11, 6))
+    t = rng.normal(size=(11, 3))
+    enc = _textbook_forward(m.enc_w, m.enc_b, x)
+    assert np.array_equal(ae.encode(m, x), enc[-1])
+    dec = _textbook_forward(m.dec_w, m.dec_b, enc[-1])
+    assert np.array_equal(ae.decode(m, enc[-1]), dec[-1])
+
+    grads, _ = ae.backprop_embedding(m, x, t)
+    gw, gb, _ = _textbook_backward(m.enc_w, enc, 2.0 * (enc[-1] - t))
+    for got, want in zip(grads, gw + gb):
+        assert np.array_equal(got, want)
+
+    grads, _ = ae.backprop_reconstruction(m, x)
+    dgw, dgb, dz0 = _textbook_backward(m.dec_w, dec, 2.0 * (dec[-1] - x))
+    egw, egb, _ = _textbook_backward(m.enc_w, enc, dz0 @ m.dec_w[0].T)
+    for got, want in zip(grads, egw + egb + dgw + dgb):
+        assert np.array_equal(got, want)
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _pretrain_and_cluster():
+    # enc_w[0] and dec_w[-1] have 38400 entries, more than one Adam chunk
+    ds = data.gen_synthetic(
+        k=4, per_cluster_n=50, latent_dim=2, ambient_dim=64, separation=5.0, seed=31
+    )
+    m = ae.xavier_init([64, 600, 4], seed=5)
+    m, losses = ae.pretrain(m, ds.x, epochs=3, batch_size=64, seed=2)
+    pretrained = [p.copy() for p in m.all_params()]
+    adam = ae.AdamState.for_params(m.encoder_params())
+    cfg = DekmConfig(k=4, max_outer_iters=3, inner_batch_size=64, seed=3, reset_optimizer=False)
+    result, m, _ = run_dekm(m, ds.x, cfg, adam_state=adam)
+    return pretrained, losses, m.encoder_params(), adam, result.assignments
+
+
+def test_pretrain_and_run_dekm_are_pinned():
+    # Digests recorded with the out-of-place numerics. The GEMM summation
+    # order belongs to the BLAS kernel, so they hold for the BLAS build they
+    # were recorded with (OpenBLAS, x86-64); the next test checks the same
+    # property on any BLAS.
+    pretrained, losses, enc, adam, assignments = _pretrain_and_cluster()
+    assert _sha256(pretrained) == (
+        "6c718efa1d80f132a6e7fc736a454c07f9eb559ecbd104da6ee2e0e1b13850e0"
+    )
+    assert _sha256([np.array(losses)]) == (
+        "51a2a48b34cf643027132163b32710f47d4642d2d44d375cc014f19585221a39"
+    )
+    assert adam.t == 12
+    assert _sha256(enc + adam.m + adam.v) == (
+        "4e0687067f4cde4a3b209da2bb29c59aa9a4b621aec4a79dbc535fada0446d89"
+    )
+    assert _sha256([assignments.astype("<i8")]) == (
+        "b019b8c339ce797086b1daa1db2acac3f506bcf54371e99a6e1c26906f5d1caf"
+    )
+
+
+def test_pretrain_and_run_dekm_match_textbook_numerics(monkeypatch):
+    pre, losses, enc, adam, assignments = _pretrain_and_cluster()
+    _use_textbook_numerics(monkeypatch)
+    ref_pre, ref_losses, ref_enc, ref_adam, ref_assignments = _pretrain_and_cluster()
+    assert losses == ref_losses
+    assert adam.t == ref_adam.t
+    for g, w in zip(pre + enc + adam.m + adam.v, ref_pre + ref_enc + ref_adam.m + ref_adam.v):
+        assert np.array_equal(g, w)
+    assert np.array_equal(assignments, ref_assignments)
+
+
+def test_encode_keeps_no_dead_activations():
+    # The forward pass needs the widest activation plus the next (narrow)
+    # one; a single extra full-width temporary would reach input + 2x widest.
+    m = ae.xavier_init([64, 1024, 10], seed=0)
+    tracemalloc.start()
+    try:
+        x = np.random.default_rng(0).normal(size=(4000, 64))
+        ae.encode(m, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    widest = 4000 * 1024 * 8
+    assert peak < x.nbytes + 1.5 * widest

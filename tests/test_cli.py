@@ -174,3 +174,27 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"bogus": 1, "dekm": {"k": 2}}))
     assert cli.main(["pretrain", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command", ["pretrain", "run"])
+def test_unknown_dekm_key_is_a_config_error(small_config, capsys, command):
+    cfg_path, tmp = small_config
+    cfg = json.loads(cfg_path.read_text())
+    cfg["dekm"]["max_iters"] = 5
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "max_iters" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", ["0.5", "abc", "inf", "1e300"])
+def test_eval_rejects_non_integral_labels(tmp_path, capsys, cell):
+    g = tmp_path / "g.txt"
+    c = tmp_path / "c.txt"
+    g.write_text(f"0\n\n{cell}\n")
+    c.write_text("0\n1\n")
+    assert cli.main(["eval", str(g), str(c), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert "g.txt:3" in err
+    assert "Traceback" not in err

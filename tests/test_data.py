@@ -139,3 +139,15 @@ def test_gen_synthetic_rejects_bad_dims():
         data.gen_synthetic(k=2, per_cluster_n=10, latent_dim=5, ambient_dim=3, separation=1.0, seed=0)
     with pytest.raises(ConfigurationError):
         data.gen_synthetic(k=0, per_cluster_n=10, latent_dim=2, ambient_dim=3, separation=1.0, seed=0)
+
+
+def test_load_csv_rejects_non_integral_labels(tmp_path):
+    p = tmp_path / "l.csv"
+    p.write_text("1.0,2.0,0\n\n3.0,4.0,1.5\n")
+    with pytest.raises(FormatError, match=r"l\.csv:3: column 3: label 1\.5 is not a 64-bit"):
+        data.load_csv(p, has_labels_column=True)
+    p.write_text("1.0,2.0,0\n3.0,4.0,1e300\n")
+    with pytest.raises(FormatError, match=r"l\.csv:2: column 3: label 1e\+300"):
+        data.load_csv(p, has_labels_column=True)
+    p.write_text("1.0,2.0,0.0\n3.0,4.0,1.0\n")
+    assert np.array_equal(data.load_csv(p, has_labels_column=True).labels, [0, 1])

@@ -130,3 +130,20 @@ def test_uniform_entropy():
     assert metrics.uniform_entropy(3) == pytest.approx(np.log(3.0))
     with pytest.raises(ConfigurationError):
         metrics.uniform_entropy(0)
+
+
+def test_align_labels_gives_unmatched_clusters_fresh_labels():
+    reference = np.array([5, 5, 7, 7, 7, 7])
+    labels = np.array([2, 2, 0, 0, 1, 3])
+    # 2 -> 5 and 0 -> 7 are matched; 1 and 3 get 8 and 9 in label order
+    assert np.array_equal(metrics.align_labels(reference, labels), [5, 5, 7, 7, 8, 9])
+
+
+def test_non_integral_labels_are_rejected():
+    with pytest.raises(ConfigurationError, match="integers"):
+        metrics.acc([0.0, 1.0, 1.0], [0.7, 1.2, 1.9])
+    for bad in (np.nan, np.inf, 1e300):
+        with pytest.raises(ConfigurationError, match="integers"):
+            metrics.nmi([0.0, bad], [0, 1])
+    # integral floats are labels
+    assert metrics.acc([0.0, 1.0, 1.0], [1.0, 0.0, 0.0]) == 1.0
