@@ -323,20 +323,41 @@ def save_checkpoint(path, m: AutoencoderModel, meta: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {doc.get('version')!r}")
+    """Read a checkpoint written by ``save_checkpoint``. A file that cannot
+    be opened is a ``ConfigurationError``; one that is not a well-formed
+    checkpoint, or whose arrays do not fit its ``dims`` or hold nan/inf, is a
+    ``FormatError``."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path}: not a JSON checkpoint: {exc}") from exc
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"unsupported checkpoint version {version!r}")
 
     def unpack(entry):
-        a = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+        a = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
         return a.reshape(entry["shape"]).astype(np.float64)
 
-    m = AutoencoderModel(
-        dims=list(doc["dims"]),
-        enc_w=[unpack(e) for e in doc["enc_w"]],
-        enc_b=[unpack(e) for e in doc["enc_b"]],
-        dec_w=[unpack(e) for e in doc["dec_w"]],
-        dec_b=[unpack(e) for e in doc["dec_b"]],
-    )
-    return m, doc.get("meta", {})
+    keys = ("enc_w", "enc_b", "dec_w", "dec_b")
+    try:  # binascii.Error is a ValueError
+        dims = [int(d) for d in doc["dims"]]
+        params = {key: [unpack(e) for e in doc[key]] for key in keys}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    mirror = dims[::-1]
+    want = {
+        "enc_w": list(zip(dims[:-1], dims[1:])),
+        "enc_b": [(b,) for b in dims[1:]],
+        "dec_w": list(zip(mirror[:-1], mirror[1:])),
+        "dec_b": [(b,) for b in mirror[1:]],
+    }
+    shapes = {key: [a.shape for a in params[key]] for key in keys}
+    if len(dims) < 2 or min(dims) < 1 or shapes != want:
+        raise FormatError(f"{path}: parameter shapes {shapes} do not fit dims {dims}")
+    if not all(np.isfinite(a).all() for key in keys for a in params[key]):
+        raise FormatError(f"{path}: non-finite parameter values")
+    return AutoencoderModel(dims, *(params[key] for key in keys)), doc.get("meta", {})

@@ -60,17 +60,9 @@ def _config_comment(cfg: ExperimentConfig) -> str:
     return "# config: " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n"
 
 
-def _pretrained_model(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
-    if cfg.checkpoint:
-        model, _ = ae.load_checkpoint(cfg.checkpoint)
-        if model.input_dim != ds.d:
-            raise ConfigurationError(
-                f"checkpoint input dim {model.input_dim} != dataset dim {ds.d}"
-            )
-        return model, []
-    dims = cfg.encoder_dims(ds.d)
-    model = ae.xavier_init(dims, seed)
-    model, losses = ae.pretrain(
+def _pretrain(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
+    model = ae.xavier_init(cfg.encoder_dims(ds.d), seed)
+    return ae.pretrain(
         model,
         ds.x,
         epochs=cfg.pretrain_epochs,
@@ -78,21 +70,22 @@ def _pretrained_model(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
         seed=seed,
         lr=cfg.pretrain_lr,
     )
-    return model, losses
+
+
+def _pretrained_model(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
+    if not cfg.checkpoint:
+        return _pretrain(cfg, ds, seed)[0]
+    model, _ = ae.load_checkpoint(cfg.checkpoint)
+    if model.input_dim != ds.d:
+        raise ConfigurationError(f"checkpoint input dim {model.input_dim} != dataset dim {ds.d}")
+    return model
 
 
 def cmd_pretrain(cfg: ExperimentConfig) -> int:
+    if cfg.checkpoint:
+        raise ConfigurationError("pretrain writes a checkpoint and cannot start from one")
     ds = _load_dataset(cfg)
-    dims = cfg.encoder_dims(ds.d)
-    model = ae.xavier_init(dims, cfg.seed)
-    model, losses = ae.pretrain(
-        model,
-        ds.x,
-        epochs=cfg.pretrain_epochs,
-        batch_size=cfg.pretrain_batch_size,
-        seed=cfg.seed,
-        lr=cfg.pretrain_lr,
-    )
+    model, losses = _pretrain(cfg, ds, cfg.seed)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     ae.save_checkpoint(
@@ -108,59 +101,64 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _single_run(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
-    model, _ = _pretrained_model(cfg, ds, seed)
-    dekm_cfg = cfg.dekm_config(seed)
-    result, model, history = core.run_dekm(model, ds.x, dekm_cfg, labels=ds.labels)
-    return result, model, history
+def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start_model, tags=None, **overrides):
+    """Run the DEKM loop once per repeat ``r`` with seed ``cfg.seed + r``,
+    from the model ``start_model(r, seed)`` and with ``overrides`` applied to
+    the loop config.
+
+    Returns the per-repeat (history, seconds) pairs, the last repeat's
+    (result, model), and the history.jsonl text: every record tagged with
+    its repeat and ``tags``, timing blanked so the file is deterministic.
+    """
+    runs, lines = [], []
+    for r in range(cfg.repeats):
+        seed = cfg.seed + r
+        t0 = time.perf_counter()
+        result, model, history = core.run_dekm(
+            start_model(r, seed), ds.x, cfg.dekm_config(seed, **overrides), labels=ds.labels
+        )
+        runs.append((history, time.perf_counter() - t0))
+        for rec in history.as_dicts():
+            rec.update(tags or {}, repeat=r, seconds=None)
+            lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return runs, (result, model), "".join(lines)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     ds = _load_dataset(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    runs = []
-    timing = []
-    history_lines = []
-    last_model = None
-    last_result = None
-    for r in range(cfg.repeats):
-        seed = cfg.seed + r
-        t0 = time.perf_counter()
-        result, model, history = _single_run(cfg, ds, seed)
-        timing.append(time.perf_counter() - t0)
-        final = history.records[-1]
-        runs.append(
-            {
-                "repeat": r,
-                "seed": seed,
-                "acc": final.acc,
-                "nmi": final.nmi,
-                "inertia": final.inertia,
-                "outer_iterations": len(history.records) - 1,
-                "stopped_early": history.stopped_early,
-            }
-        )
-        for rec in history.as_dicts():
-            rec["repeat"] = r
-            rec["seconds"] = None  # timing is segregated from the deterministic record
-            history_lines.append(json.dumps(rec, sort_keys=True) + "\n")
-        last_model, last_result = model, result
+    runs, (last_result, last_model), history_text = _run_repeats(
+        cfg, ds, lambda r, seed: _pretrained_model(cfg, ds, seed)
+    )
+    summaries = [
+        {
+            "repeat": r,
+            "seed": cfg.seed + r,
+            "acc": history.records[-1].acc,
+            "nmi": history.records[-1].nmi,
+            "inertia": history.records[-1].inertia,
+            "outer_iterations": len(history.records) - 1,
+            "stopped_early": history.stopped_early,
+        }
+        for r, (history, _) in enumerate(runs)
+    ]
+    timing = [seconds for _, seconds in runs]
 
     def agg(key):
-        vals = [run[key] for run in runs if run[key] is not None]
+        vals = [run[key] for run in summaries if run[key] is not None]
         if not vals:
             return {"mean": None, "std": None}
         return {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
 
     results = {
         "config": cfg.to_dict(),
-        "runs": runs,
+        "runs": summaries,
         "aggregate": {"acc": agg("acc"), "nmi": agg("nmi"), "inertia": agg("inertia")},
         "timing": {"per_run_seconds": timing, "total_seconds": sum(timing)},
     }
     _write(out / "results.json", _json_dumps(results))
-    _write(out / "history.jsonl", "".join(history_lines))
+    _write(out / "history.jsonl", history_text)
 
     h = ae.encode(last_model, ds.x)
     lines = [_config_comment(cfg)]
@@ -170,19 +168,20 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         lines.append(",".join(cells) + "\n")
     _write(out / "embedding.csv", "".join(lines))
     print(f"wrote {out / 'results.json'}, {out / 'history.jsonl'}, {out / 'embedding.csv'}")
-    for run in runs:
+    for run in summaries:
         print(f"  repeat {run['repeat']}: acc={run['acc']} nmi={run['nmi']}")
     return 0
 
 
-ABLATION_VARIANTS = [
-    ("last_dim_Y", "mini_batch"),
-    ("random_dim_Y", "mini_batch"),
-    ("all_dims_Y", "mini_batch"),
-    ("random_dim_H", "mini_batch"),
-    ("all_dims_H", "mini_batch"),
-    ("last_dim_Y", "full_batch"),
-]
+# column name -> (strategy, batch mode)
+ABLATION_VARIANTS = {
+    "last_dim_Y": ("last_dim_Y", "mini_batch"),
+    "random_dim_Y": ("random_dim_Y", "mini_batch"),
+    "all_dims_Y": ("all_dims_Y", "mini_batch"),
+    "random_dim_H": ("random_dim_H", "mini_batch"),
+    "all_dims_H": ("all_dims_H", "mini_batch"),
+    "last_dim_Y_full": ("last_dim_Y", "full_batch"),
+}
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> int:
@@ -194,46 +193,35 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
 
     # One pretrained model per repeat seed, shared across all variants so
     # every curve starts from the same iteration-0 clustering.
-    base_models = {}
-    for r in range(cfg.repeats):
-        base_models[r], _ = _pretrained_model(cfg, ds, cfg.seed + r)
+    base_models = [_pretrained_model(cfg, ds, cfg.seed + r) for r in range(cfg.repeats)]
 
-    curves = {}
-    for strategy, batch_mode in ABLATION_VARIANTS:
-        name = strategy if batch_mode == "mini_batch" else f"{strategy}_full"
-        per_repeat = []
-        history_lines = []
-        for r in range(cfg.repeats):
-            seed = cfg.seed + r
-            dekm_cfg = cfg.dekm_config(seed)
-            dekm_cfg.strategy = strategy
-            dekm_cfg.batch_mode = batch_mode
-            _, _, history = core.run_dekm(
-                base_models[r].copy(), ds.x, dekm_cfg, labels=ds.labels
-            )
-            per_repeat.append([rec.acc for rec in history.records])
-            for rec in history.as_dicts():
-                rec["repeat"] = r
-                rec["variant"] = name
-                history_lines.append(json.dumps(rec, sort_keys=True) + "\n")
-        _write(out / f"history_{name}.jsonl", "".join(history_lines))
-        depth = max(len(c) for c in per_repeat)
-        padded = [c + [c[-1]] * (depth - len(c)) for c in per_repeat]
-        curves[name] = np.mean(np.array(padded), axis=0)
+    acc_runs = {}
+    for name, (strategy, batch_mode) in ABLATION_VARIANTS.items():
+        runs, _, history_text = _run_repeats(
+            cfg,
+            ds,
+            lambda r, seed: base_models[r].copy(),
+            {"variant": name},
+            strategy=strategy,
+            batch_mode=batch_mode,
+        )
+        _write(out / f"history_{name}.jsonl", history_text)
+        acc_runs[name] = [[rec.acc for rec in history.records] for history, _ in runs]
 
-    depth = max(len(c) for c in curves.values())
-    names = [s if b == "mini_batch" else f"{s}_full" for s, b in ABLATION_VARIANTS]
-    lines = [_config_comment(cfg), ",".join(["iter"] + names) + "\n"]
+    # A run that stopped early keeps its final ACC up to the longest run.
+    depth = max(len(c) for per_repeat in acc_runs.values() for c in per_repeat)
+    curves = {
+        name: np.mean([c + [c[-1]] * (depth - len(c)) for c in per_repeat], axis=0)
+        for name, per_repeat in acc_runs.items()
+    }
+    lines = [_config_comment(cfg), ",".join(["iter", *curves]) + "\n"]
     for i in range(depth):
-        row = [str(i)]
-        for name in names:
-            c = curves[name]
-            row.append(repr(float(c[min(i, len(c) - 1)])))
+        row = [str(i)] + [repr(float(c[i])) for c in curves.values()]
         lines.append(",".join(row) + "\n")
     _write(out / "ablation.csv", "".join(lines))
     print(f"wrote {out / 'ablation.csv'}")
-    for name in names:
-        print(f"  {name}: final mean ACC {curves[name][-1]:.4f}")
+    for name, c in curves.items():
+        print(f"  {name}: final mean ACC {c[-1]:.4f}")
     return 0
 
 

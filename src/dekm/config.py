@@ -29,6 +29,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
         if not isinstance(self.dataset, dict):
             raise ConfigurationError("dataset must be a mapping")
+        if "seed" in self.dekm:
+            raise ConfigurationError(
+                "dekm.seed is not a config key: each repeat runs with the top-level "
+                "seed + repeat index; set seed instead"
+            )
         unknown = set(self.dekm) - set(DekmConfig.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown dekm config keys: {sorted(unknown)}")
@@ -36,12 +41,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def dekm_config(self, seed: int) -> DekmConfig:
-        fields = dict(self.dekm)
-        if "k" not in fields:
+    def dekm_config(self, seed: int, **overrides) -> DekmConfig:
+        if "k" not in self.dekm:
             raise ConfigurationError("dekm.k (cluster count) is required")
-        fields["seed"] = seed
-        return DekmConfig(**fields)
+        return DekmConfig(**{**self.dekm, **overrides, "seed": seed})
 
     def encoder_dims(self, input_dim: int) -> list[int]:
         e = self.embedding_dim if self.embedding_dim is not None else self.dekm.get("k")

@@ -40,8 +40,6 @@ class DekmConfig:
     lr: float = 0.001
     kmeans_max_iter: int = 300
     kmeans_tol: float = 1e-6
-    kmeans_init: str = "kmeans++"  # or "random"
-    warm_start: bool = False  # reuse previous centroids across outer iterations
     reset_optimizer: bool = True  # fresh Adam state at the start of the loop
 
     def __post_init__(self):
@@ -89,9 +87,7 @@ class RunHistory:
 def build_transform(s_w: np.ndarray) -> TransformState:
     """Eigendecompose the within-class scatter; the last row of the result
     is the least-informative direction (largest scatter)."""
-    ts = sym_eig(s_w)
-    assert np.all(np.diff(ts.eigenvalues) >= -1e-12)
-    return ts
+    return sym_eig(s_w)
 
 
 def greedy_targets(
@@ -185,16 +181,6 @@ def should_stop(prev_assignments, assignments, stop_fraction: float) -> bool:
     return changed_fraction(prev_assignments, assignments) < stop_fraction
 
 
-def _cluster(h, config: DekmConfig, rng, prev_centroids=None):
-    if config.warm_start and prev_centroids is not None:
-        init = prev_centroids
-    elif config.kmeans_init == "random":
-        init = h[rng.choice(h.shape[0], size=config.k, replace=False)].copy()
-    else:
-        init = km.kmeanspp_init(h, config.k, rng)
-    return km.lloyd(h, config.k, init, config.kmeans_max_iter, config.kmeans_tol)
-
-
 def run_dekm(
     model: ae.AutoencoderModel,
     x: np.ndarray,
@@ -208,7 +194,8 @@ def run_dekm(
     transform, centroids and targets fixed while the encoder takes one
     epoch of Adam steps (or a single full-batch step). Stops when the
     aligned label-change fraction drops below ``stop_fraction`` or the
-    iteration budget runs out, then reports a final encode+cluster pass.
+    iteration budget runs out; the last pass only encodes and clusters, and
+    its record has ``l4=None``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < config.k:
@@ -220,17 +207,19 @@ def run_dekm(
         adam = ae.AdamState.for_params(model.encoder_params(), lr=config.lr)
     history = RunHistory()
     prev_assign = None
-    prev_centroids = None
     n = x.shape[0]
 
-    for it in range(config.max_outer_iters):
+    for it in range(config.max_outer_iters + 1):
+        final = history.stopped_early or it == config.max_outer_iters
         t0 = time.perf_counter()
         h = ae.encode(model, x)
-        result = _cluster(h, config, rng, prev_centroids)
-        s_w = km.within_class_scatter(h, result)
-        transform = build_transform(s_w)
-        targets, space = greedy_targets(h, transform, result, config.strategy, rng)
-        l4 = greedy_loss(h, transform, targets, space)
+        init = km.kmeanspp_init(h, config.k, rng)
+        result = km.lloyd(h, config.k, init, config.kmeans_max_iter, config.kmeans_tol)
+        l4 = None
+        if not final:
+            transform = build_transform(km.within_class_scatter(h, result))
+            targets, space = greedy_targets(h, transform, result, config.strategy, rng)
+            l4 = greedy_loss(h, transform, targets, space)
 
         changed = None if prev_assign is None else changed_fraction(prev_assign, result.assignments)
         history.records.append(
@@ -244,11 +233,13 @@ def run_dekm(
                 seconds=time.perf_counter() - t0,
             )
         )
-        if changed is not None and changed < config.stop_fraction:
-            history.stopped_early = True
+        if final:
             break
+        if changed is not None and changed < config.stop_fraction:
+            # one more pass, compared against the assignments before the stop
+            history.stopped_early = True
+            continue
         prev_assign = result.assignments
-        prev_centroids = result.centroids
 
         if config.batch_mode == "full_batch":
             for _ in range(config.inner_steps):
@@ -259,22 +250,4 @@ def run_dekm(
                 for start in range(0, n, config.inner_batch_size):
                     idx = order[start : start + config.inner_batch_size]
                     representation_step(model, x[idx], targets[idx], transform, space, adam)
-
-    t0 = time.perf_counter()
-    h = ae.encode(model, x)
-    result = _cluster(h, config, rng, prev_centroids)
-    final_changed = (
-        None if prev_assign is None else changed_fraction(prev_assign, result.assignments)
-    )
-    history.records.append(
-        IterationRecord(
-            iter=len(history.records),
-            inertia=result.inertia,
-            l4=None,
-            changed_fraction=final_changed,
-            acc=None if labels is None else metrics.acc(labels, result.assignments),
-            nmi=None if labels is None else metrics.nmi(labels, result.assignments),
-            seconds=time.perf_counter() - t0,
-        )
-    )
     return result, model, history

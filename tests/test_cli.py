@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -198,3 +199,83 @@ def test_eval_rejects_non_integral_labels(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert "g.txt:3" in err
     assert "Traceback" not in err
+
+
+def test_ablate_histories_are_deterministic(small_config):
+    cfg_path, tmp = small_config
+    for out in ("a1", "a2"):
+        argv = ["ablate", "--config", str(cfg_path), "--iters", "2", "--out", str(tmp / out)]
+        assert cli.main(argv) == 0
+    histories = sorted(p.name for p in (tmp / "a1").glob("history_*.jsonl"))
+    assert len(histories) == 6
+    for name in histories:
+        assert (tmp / "a1" / name).read_bytes() == (tmp / "a2" / name).read_bytes()
+    tables = [(tmp / out / "ablation.csv").read_text().splitlines() for out in ("a1", "a2")]
+    assert tables[0][0].startswith("# config:")  # differs only in "out"
+    assert tables[0][1:] == tables[1][1:]
+
+
+def _break_checkpoint(path, case):
+    if case == "missing":
+        path.unlink()
+        return
+    doc = json.loads(path.read_text())
+    if case == "not_json":
+        path.write_text("{not json")
+        return
+    if case == "missing_key":
+        del doc["dec_b"]
+    elif case == "corrupt_base64":
+        doc["enc_w"][0]["data"] = doc["enc_w"][0]["data"][:-3]
+    elif case == "shape_mismatch":
+        # a well-formed 12x7 array where the dims call for 12x12
+        doc["enc_w"][1] = {"shape": [12, 7], "data": base64.b64encode(bytes(12 * 7 * 8)).decode()}
+    elif case == "non_finite":
+        nan = np.full(12, np.nan, dtype="<f8")
+        doc["enc_b"][0] = {"shape": [12], "data": base64.b64encode(nan.tobytes()).decode()}
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("missing", 2), ("not_json", 1), ("missing_key", 1), ("corrupt_base64", 1),
+     ("shape_mismatch", 1), ("non_finite", 1)],
+)
+def test_bad_checkpoint_fails_at_the_boundary(small_config, capsys, case, code):
+    cfg_path, tmp = small_config
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--out", str(tmp / "ck")]) == 0
+    ck = tmp / "ck" / "checkpoint.json"
+    _break_checkpoint(ck, case)
+    capsys.readouterr()
+    argv = ["run", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(tmp / "r")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "checkpoint" in err
+    assert "Traceback" not in err
+
+
+def test_dekm_seed_key_is_rejected(small_config, capsys):
+    cfg_path, tmp = small_config
+    cfg = json.loads(cfg_path.read_text())
+    cfg["dekm"]["seed"] = 5
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "dekm.seed" in err and "top-level seed" in err
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_pretrain_rejects_a_checkpoint(small_config, capsys, where):
+    cfg_path, tmp = small_config
+    argv = ["pretrain", "--config", str(cfg_path)]
+    if where == "flag":
+        argv += ["--checkpoint", str(tmp / "ck.json")]
+    else:
+        cfg = json.loads(cfg_path.read_text())
+        cfg["checkpoint"] = str(tmp / "ck.json")
+        cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint" in err and "Traceback" not in err
+    assert not (tmp / "out").exists()

@@ -3,6 +3,7 @@ import pytest
 
 import dekm.autoencoder as ae
 from dekm import core, data, kmeans as km
+from dekm.config import ExperimentConfig
 from dekm.errors import ConfigurationError, DimensionError
 from dekm.linalg import TransformState
 
@@ -29,6 +30,17 @@ def test_config_validation():
         core.DekmConfig(k=2, batch_mode="bogus")
     with pytest.raises(ConfigurationError):
         core.DekmConfig(k=2, stop_fraction=0.0)
+
+
+def test_dekm_config_overrides_are_validated():
+    cfg = ExperimentConfig(dekm={"k": 2, "strategy": "all_dims_H"})
+    dc = cfg.dekm_config(3, batch_mode="full_batch")
+    assert (dc.seed, dc.strategy, dc.batch_mode) == (3, "all_dims_H", "full_batch")
+    assert cfg.dekm_config(3, strategy="last_dim_Y").strategy == "last_dim_Y"
+    with pytest.raises(ConfigurationError):
+        cfg.dekm_config(3, strategy="bogus")
+    with pytest.raises(ConfigurationError, match="top-level seed"):
+        ExperimentConfig(dekm={"k": 2, "seed": 5})
 
 
 def test_build_transform_diagonal():
