@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,13 +22,61 @@ from .errors import ConfigurationError, DimensionError, DivergenceError, FormatE
 CHECKPOINT_VERSION = 1
 
 
+def _param_groups(dims) -> list[list[tuple[int, ...]]]:
+    """Parameter shapes of enc_w, enc_b, dec_w and dec_b; ``all_params()``
+    order is their concatenation. The decoder mirrors ``dims``."""
+    mirror = dims[::-1]
+    return [
+        list(zip(dims[:-1], dims[1:])),
+        [(n,) for n in dims[1:]],
+        list(zip(mirror[:-1], mirror[1:])),
+        [(n,) for n in mirror[1:]],
+    ]
+
+
+def _size(groups) -> int:
+    return sum(math.prod(shape) for shapes in groups for shape in shapes)
+
+
+def _split(flat: np.ndarray, groups) -> list[list[np.ndarray]]:
+    """Reshaped views of consecutive slices of ``flat``, nested like
+    ``groups``."""
+    out, lo = [], 0
+    for shapes in groups:
+        views = []
+        for shape in shapes:
+            hi = lo + math.prod(shape)
+            views.append(flat[lo:hi].reshape(shape))
+            lo = hi
+        out.append(views)
+    return out
+
+
 @dataclass
 class AutoencoderModel:
+    """All parameters live in one C-contiguous float64 vector ``flat``, in
+    ``all_params()`` order. ``enc_w``/``enc_b``/``dec_w``/``dec_b`` are
+    reshaped views into it, and ``encoder_flat`` is the prefix holding the
+    encoder's parameters, so one Adam step walks a single array."""
+
     dims: list[int]  # encoder widths, input .. embedding; decoder mirrors them
-    enc_w: list[np.ndarray]
-    enc_b: list[np.ndarray]
-    dec_w: list[np.ndarray]
-    dec_b: list[np.ndarray]
+    flat: np.ndarray
+    enc_w: list[np.ndarray] = field(init=False, repr=False)
+    enc_b: list[np.ndarray] = field(init=False, repr=False)
+    dec_w: list[np.ndarray] = field(init=False, repr=False)
+    dec_b: list[np.ndarray] = field(init=False, repr=False)
+    encoder_flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        groups = _param_groups(self.dims)
+        f = self.flat
+        if not (f.dtype == np.float64 and f.shape == (_size(groups),) and f.flags.c_contiguous):
+            raise DimensionError(
+                f"dims {self.dims} need a C-contiguous float64 vector of "
+                f"{_size(groups)} parameters, got {f.dtype} {f.shape}"
+            )
+        self.enc_w, self.enc_b, self.dec_w, self.dec_b = _split(f, groups)
+        self.encoder_flat = f[: _size(groups[:2])]
 
     @property
     def input_dim(self) -> int:
@@ -44,13 +93,7 @@ class AutoencoderModel:
         return self.enc_w + self.enc_b + self.dec_w + self.dec_b
 
     def copy(self) -> "AutoencoderModel":
-        return AutoencoderModel(
-            dims=list(self.dims),
-            enc_w=[w.copy() for w in self.enc_w],
-            enc_b=[b.copy() for b in self.enc_b],
-            dec_w=[w.copy() for w in self.dec_w],
-            dec_b=[b.copy() for b in self.dec_b],
-        )
+        return AutoencoderModel(list(self.dims), self.flat.copy())
 
 
 def xavier_init(dims: list[int], seed: int) -> AutoencoderModel:
@@ -60,23 +103,12 @@ def xavier_init(dims: list[int], seed: int) -> AutoencoderModel:
     if any(d < 1 for d in dims):
         raise ConfigurationError(f"layer widths must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
-
-    def layer(fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
+    m = AutoencoderModel(list(dims), np.zeros(_size(_param_groups(dims))))
+    for w in m.enc_w + m.dec_w:
+        fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        return w, np.zeros(fan_out)
-
-    enc_w, enc_b, dec_w, dec_b = [], [], [], []
-    for a, b in zip(dims[:-1], dims[1:]):
-        w, bias = layer(a, b)
-        enc_w.append(w)
-        enc_b.append(bias)
-    mirror = dims[::-1]
-    for a, b in zip(mirror[:-1], mirror[1:]):
-        w, bias = layer(a, b)
-        dec_w.append(w)
-        dec_b.append(bias)
-    return AutoencoderModel(list(dims), enc_w, enc_b, dec_w, dec_b)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return m
 
 
 def _layer(a, w, b, relu):
@@ -108,20 +140,19 @@ def _output(ws, bs, x):
     return x
 
 
-def _backward(ws, acts, delta):
-    """Backprop ``delta`` (dL/d output) through one chain; returns per-layer
-    weight/bias gradients and dL/dz0 at the first layer's pre-activation.
-    dL/d input is ``dz0 @ ws[0].T``, left to the callers that need it."""
-    gw = [None] * len(ws)
-    gb = [None] * len(ws)
+def _backward(ws, acts, delta, gw, gb):
+    """Backprop ``delta`` (dL/d output) through one chain, writing each
+    layer's weight/bias gradient into ``gw[i]``/``gb[i]``; returns dL/dz0 at
+    the first layer's pre-activation. dL/d input is ``dz0 @ ws[0].T``, left
+    to the callers that need it."""
     last = len(ws) - 1
     for i in range(last, -1, -1):
         if i != last:
             delta = delta @ ws[i + 1].T
             delta *= acts[i + 1] > 0.0
-        gw[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0)
-    return gw, gb, delta
+        np.matmul(acts[i].T, delta, out=gw[i])
+        delta.sum(axis=0, out=gb[i])
+    return delta
 
 
 def _check_input(m: AutoencoderModel, x: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -151,25 +182,30 @@ def reconstruction_loss(m: AutoencoderModel, x: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray):
+def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray, out=None):
     """Gradients of sum ||x - g(f(x))||^2 w.r.t. all parameters.
 
-    Returns (grads, loss) with grads ordered like ``all_params()``.
+    Returns (grads, loss) with grads ordered like ``all_params()``: views of
+    ``out``, a vector laid out like ``m.flat`` (allocated when omitted).
     """
     x = _check_input(m, x, m.input_dim, "input")
+    out = np.empty_like(m.flat) if out is None else out
+    egw, egb, dgw, dgb = _split(out, _param_groups(m.dims))
     enc_acts = _forward(m.enc_w, m.enc_b, x)
     dec_acts = _forward(m.dec_w, m.dec_b, enc_acts[-1])
     diff = dec_acts[-1] - x
     loss = float(np.sum(diff * diff))
-    dgw, dgb, dz0 = _backward(m.dec_w, dec_acts, 2.0 * diff)
-    egw, egb, _ = _backward(m.enc_w, enc_acts, dz0 @ m.dec_w[0].T)
+    dz0 = _backward(m.dec_w, dec_acts, 2.0 * diff, dgw, dgb)
+    _backward(m.enc_w, enc_acts, dz0 @ m.dec_w[0].T, egw, egb)
     return egw + egb + dgw + dgb, loss
 
 
-def backprop_embedding(m: AutoencoderModel, x: np.ndarray, targets: np.ndarray):
+def backprop_embedding(m: AutoencoderModel, x: np.ndarray, targets: np.ndarray, out=None):
     """Gradients of sum ||f(x) - targets||^2 w.r.t. encoder parameters only.
 
-    Returns (grads, loss) with grads ordered like ``encoder_params()``.
+    Returns (grads, loss) with grads ordered like ``encoder_params()``: views
+    of ``out``, a vector laid out like ``m.encoder_flat`` (allocated when
+    omitted).
     """
     x = _check_input(m, x, m.input_dim, "input")
     targets = _check_input(m, targets, m.embedding_dim, "targets")
@@ -177,10 +213,12 @@ def backprop_embedding(m: AutoencoderModel, x: np.ndarray, targets: np.ndarray):
         raise DimensionError(
             f"targets rows {targets.shape[0]} != input rows {x.shape[0]}"
         )
+    out = np.empty_like(m.encoder_flat) if out is None else out
+    gw, gb = _split(out, _param_groups(m.dims)[:2])
     acts = _forward(m.enc_w, m.enc_b, x)
     diff = acts[-1] - targets
     loss = float(np.sum(diff * diff))
-    gw, gb, _ = _backward(m.enc_w, acts, 2.0 * diff)
+    _backward(m.enc_w, acts, 2.0 * diff, gw, gb)
     return gw + gb, loss
 
 
@@ -282,19 +320,19 @@ def pretrain(
     x = _check_input(m, x, m.input_dim, "input")
     n = x.shape[0]
     rng = np.random.default_rng(seed)
-    params = m.all_params()
-    adam = AdamState.for_params(params, lr=lr)
+    grad = np.empty_like(m.flat)
+    adam = AdamState.for_params([m.flat], lr=lr)
     epoch_losses = []
     for epoch in range(epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, batch_size):
             batch = x[order[start : start + batch_size]]
-            grads, loss = backprop_reconstruction(m, batch)
+            _, loss = backprop_reconstruction(m, batch, out=grad)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             total += loss
-            adam_step(params, grads, adam)
+            adam_step([m.flat], [grad], adam)
         epoch_losses.append(total)
     return m, epoch_losses
 
@@ -340,24 +378,20 @@ def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
 
     def unpack(entry):
         a = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
-        return a.reshape(entry["shape"]).astype(np.float64)
+        return a.reshape(entry["shape"])
 
     keys = ("enc_w", "enc_b", "dec_w", "dec_b")
     try:  # binascii.Error is a ValueError
         dims = [int(d) for d in doc["dims"]]
-        params = {key: [unpack(e) for e in doc[key]] for key in keys}
+        params = [[unpack(e) for e in doc[key]] for key in keys]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
-    mirror = dims[::-1]
-    want = {
-        "enc_w": list(zip(dims[:-1], dims[1:])),
-        "enc_b": [(b,) for b in dims[1:]],
-        "dec_w": list(zip(mirror[:-1], mirror[1:])),
-        "dec_b": [(b,) for b in mirror[1:]],
-    }
-    shapes = {key: [a.shape for a in params[key]] for key in keys}
-    if len(dims) < 2 or min(dims) < 1 or shapes != want:
-        raise FormatError(f"{path}: parameter shapes {shapes} do not fit dims {dims}")
-    if not all(np.isfinite(a).all() for key in keys for a in params[key]):
+    shapes = [[a.shape for a in group] for group in params]
+    if len(dims) < 2 or min(dims) < 1 or shapes != _param_groups(dims):
+        raise FormatError(
+            f"{path}: parameter shapes {dict(zip(keys, shapes))} do not fit dims {dims}"
+        )
+    flat = np.concatenate([a.ravel() for group in params for a in group], dtype=np.float64)
+    if not np.isfinite(flat).all():
         raise FormatError(f"{path}: non-finite parameter values")
-    return AutoencoderModel(dims, *(params[key] for key in keys)), doc.get("meta", {})
+    return AutoencoderModel(dims, flat), doc.get("meta", {})

@@ -233,12 +233,12 @@ def _read_label_file(path) -> np.ndarray:
                 continue
             cell = line.split(",")[0].strip()
             try:
-                v = float(cell)
+                v = data.int64_label(cell)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if not (v.is_integer() and abs(v) < 2.0**63):
+            if v is None:
                 raise FormatError(f"{path}:{lineno}: label {cell!r} is not a 64-bit integer")
-            vals.append(int(v))
+            vals.append(v)
     if not vals:
         raise ConfigurationError(f"{path}: no labels")
     return np.array(vals, dtype=int)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
-from .core import DekmConfig
+from .core import DekmConfig, check_int, check_real
 from .errors import ConfigurationError
 
 
@@ -25,10 +25,25 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
         if not isinstance(self.dataset, dict):
             raise ConfigurationError("dataset must be a mapping")
+        if not isinstance(self.dekm, dict):
+            raise ConfigurationError("dekm must be a mapping")
+        if not isinstance(self.hidden_dims, list):
+            raise ConfigurationError(f"hidden_dims must be a list, got {self.hidden_dims!r}")
+        for d in self.hidden_dims:
+            check_int("hidden_dims entry", d, 1)
+        if self.embedding_dim is not None:
+            check_int("embedding_dim", self.embedding_dim, 1)
+        check_int("pretrain_epochs", self.pretrain_epochs, 0)
+        check_int("pretrain_batch_size", self.pretrain_batch_size, 1)
+        check_real("pretrain_lr", self.pretrain_lr, positive=True)
+        check_int("repeats", self.repeats, 1)
+        check_int("seed", self.seed, 0)
+        if not isinstance(self.out, str):
+            raise ConfigurationError(f"out must be a path string, got {self.out!r}")
+        if not isinstance(self.checkpoint, (str, type(None))):
+            raise ConfigurationError(f"checkpoint must be a path string, got {self.checkpoint!r}")
         if "seed" in self.dekm:
             raise ConfigurationError(
                 "dekm.seed is not a config key: each repeat runs with the top-level "
@@ -37,6 +52,11 @@ class ExperimentConfig:
         unknown = set(self.dekm) - set(DekmConfig.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown dekm config keys: {sorted(unknown)}")
+        if "k" in self.dekm:  # the loop config's own checks, before any work
+            try:
+                self.dekm_config(self.seed)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"dekm config: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -70,6 +90,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config root must be an object, got {type(doc).__name__}")
 
+    if not isinstance(doc.get("dekm", {}), dict):
+        raise ConfigurationError("dekm must be a mapping")
     dekm_fields = dict(doc.get("dekm", {}))
     mapping = {
         "iters": "max_outer_iters",

@@ -12,6 +12,8 @@ Strategy tags follow the ablation surface:
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -25,6 +27,27 @@ from .linalg import TransformState, sym_eig
 
 STRATEGIES = ("last_dim_Y", "random_dim_Y", "all_dims_Y", "random_dim_H", "all_dims_H")
 BATCH_MODES = ("mini_batch", "full_batch")
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is an integer (not a
+    bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is a finite number (not
+    a bool) that is > 0 if ``positive``, else >= 0."""
+    ok = (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+    )
+    if not ok:
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass
@@ -43,8 +66,26 @@ class DekmConfig:
     reset_optimizer: bool = True  # fresh Adam state at the start of the loop
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
+        for name, minimum in (
+            ("k", 1),
+            ("max_outer_iters", 0),
+            ("inner_batch_size", 1),
+            ("inner_steps", 0),
+            ("seed", 0),
+            ("kmeans_max_iter", 1),
+        ):
+            check_int(name, getattr(self, name), minimum)
+        check_real("lr", self.lr, positive=True)
+        check_real("kmeans_tol", self.kmeans_tol, positive=False)
+        check_real("stop_fraction", self.stop_fraction, positive=True)
+        if self.stop_fraction >= 1.0:
+            raise ConfigurationError(
+                f"stop_fraction must be in (0, 1), got {self.stop_fraction}"
+            )
+        if not isinstance(self.reset_optimizer, bool):
+            raise ConfigurationError(
+                f"reset_optimizer must be true or false, got {self.reset_optimizer!r}"
+            )
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
@@ -53,12 +94,6 @@ class DekmConfig:
             raise ConfigurationError(
                 f"unknown batch mode {self.batch_mode!r}; expected one of {BATCH_MODES}"
             )
-        if not 0.0 < self.stop_fraction < 1.0:
-            raise ConfigurationError(
-                f"stop_fraction must be in (0, 1), got {self.stop_fraction}"
-            )
-        if self.inner_batch_size < 1 or self.inner_steps < 0:
-            raise ConfigurationError("inner_batch_size >= 1 and inner_steps >= 0 required")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -159,10 +194,11 @@ def representation_step(
         targets_h = targets_batch
     else:
         raise ConfigurationError(f"unknown target space {space!r}")
-    grads, loss = ae.backprop_embedding(model, x_batch, targets_h)
+    grad = np.empty_like(model.encoder_flat)
+    _, loss = ae.backprop_embedding(model, x_batch, targets_h, out=grad)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite representation loss")
-    ae.adam_step(model.encoder_params(), grads, adam)
+    ae.adam_step([model.encoder_flat], [grad], adam)
     return loss
 
 
@@ -204,7 +240,7 @@ def run_dekm(
     if adam_state is not None and not config.reset_optimizer:
         adam = adam_state
     else:
-        adam = ae.AdamState.for_params(model.encoder_params(), lr=config.lr)
+        adam = ae.AdamState.for_params([model.encoder_flat], lr=config.lr)
     history = RunHistory()
     prev_assign = None
     n = x.shape[0]

@@ -67,6 +67,7 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
     column. No normalization is applied; nan and inf cells are rejected."""
     rows: list[list[float]] = []
     linenos: list[int] = []
+    label_cells: list[str] = []
     width = None
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -86,6 +87,7 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
                 bad = next(i for i, c in enumerate(cells) if not _is_number(c))
                 raise FormatError(f"{path}:{lineno}: column {bad + 1}: {exc}") from exc
             linenos.append(lineno)
+            label_cells.append(cells[-1])
     if not rows:
         raise FormatError(f"{path}: no data rows")
     a = np.array(rows, dtype=np.float64)
@@ -98,16 +100,30 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
     if has_labels_column:
         if a.shape[1] < 2:
             raise FormatError(f"{path}: label column requested but only one column present")
-        labels = a[:, -1]
-        bad = np.flatnonzero((labels != np.trunc(labels)) | (np.abs(labels) >= 2.0**63))
-        if bad.size:
-            i = bad[0]
+        labels = [int64_label(c) for c in label_cells]
+        if None in labels:
+            i = labels.index(None)
             raise FormatError(
                 f"{path}:{linenos[i]}: column {a.shape[1]}: "
-                f"label {float(labels[i])} is not a 64-bit integer"
+                f"label {float(a[i, -1])} is not a 64-bit integer"
             )
-        return Dataset(x=a[:, :-1], labels=labels.astype(int), name="csv")
+        return Dataset(x=a[:, :-1], labels=np.array(labels, dtype=np.int64), name="csv")
     return Dataset(x=a, name="csv")
+
+
+def int64_label(cell: str) -> int | None:
+    """The 64-bit integer a label cell holds, read exactly (not through a
+    float): an integer literal, or a number with an integral value such as
+    ``1.0``. None for any other number; ``ValueError`` if ``cell`` is not a
+    number."""
+    try:
+        v = int(cell)
+    except ValueError:
+        f = float(cell)
+        if not f.is_integer():  # also nan and inf
+            return None
+        v = int(f)
+    return v if abs(v) < 2**63 else None
 
 
 def _is_number(s: str) -> bool:

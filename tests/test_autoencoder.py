@@ -1,13 +1,18 @@
 import hashlib
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dekm.autoencoder as ae
-from dekm import data
+from dekm import core, data
 from dekm.core import DekmConfig, run_dekm
 from dekm.errors import ConfigurationError, DimensionError, DivergenceError, FormatError
+from dekm.linalg import TransformState
 
 from conftest import finite_difference_grads, max_gradient_rel_error, relu_pattern
 
@@ -233,11 +238,102 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
         assert np.array_equal(a, b)
 
 
+@st.composite
+def _models(draw):
+    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    size = ae.xavier_init(dims, seed=0).flat.size
+    finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and -0.0 too
+    return ae.AutoencoderModel(dims, draw(arrays(np.float64, size, elements=finite)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=_models(), meta=st.dictionaries(st.text(), st.integers() | st.text(), max_size=3))
+def test_checkpoint_roundtrip_property(m, meta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.json"
+        ae.save_checkpoint(path, m, meta=meta)
+        loaded, loaded_meta = ae.load_checkpoint(path)
+    assert loaded.dims == m.dims and loaded_meta == meta
+    assert loaded.flat.tobytes() == m.flat.tobytes()
+    _assert_packed(loaded)
+
+
 def test_checkpoint_version_check(tmp_path):
     path = tmp_path / "ckpt.json"
     path.write_text('{"version": 999}')
     with pytest.raises(FormatError):
         ae.load_checkpoint(path)
+
+
+def _assert_packed(m):
+    # every parameter is a view at its own offset of one flat float64 vector,
+    # in all_params() order, and the encoder's parameters are its prefix
+    assert m.flat.dtype == np.float64 and m.flat.ndim == 1 and m.flat.flags.c_contiguous
+    base = m.flat.__array_interface__["data"][0]
+    offset = 0
+    for p in m.all_params():
+        assert p.flags.c_contiguous and np.shares_memory(p, m.flat)
+        assert p.__array_interface__["data"][0] == base + 8 * offset
+        offset += p.size
+    assert offset == m.flat.size
+    assert m.encoder_flat.__array_interface__["data"][0] == base
+    assert m.encoder_flat.size == sum(p.size for p in m.encoder_params())
+
+
+def test_views_and_flat_vector_alias():
+    m = ae.xavier_init([5, 4, 3], seed=2)
+    m.enc_w[1][2, 1] = 7.5
+    assert m.flat[5 * 4 + 2 * 3 + 1] == 7.5
+    m.flat[-1] = -3.0
+    assert m.dec_b[-1][-1] == -3.0
+    m.encoder_flat[5 * 4 + 4 * 3] = 2.0  # first encoder bias
+    assert m.enc_b[0][0] == 2.0
+    assert m.encoder_flat.size == sum(p.size for p in m.encoder_params())
+
+
+def test_copy_shares_no_memory():
+    m = ae.xavier_init([6, 5, 2], seed=3)
+    c = m.copy()
+    _assert_packed(c)
+    assert np.array_equal(c.flat, m.flat)
+    assert not np.shares_memory(c.flat, m.flat)
+    c.enc_w[0][0, 0] += 1.0
+    assert c.enc_w[0][0, 0] != m.enc_w[0][0, 0]
+
+
+def test_models_are_packed(tmp_path):
+    m = ae.xavier_init([7, 5, 4, 3], seed=4)
+    _assert_packed(m)
+    ae.save_checkpoint(tmp_path / "ck.json", m)
+    loaded, _ = ae.load_checkpoint(tmp_path / "ck.json")
+    _assert_packed(loaded)
+
+
+def test_model_rejects_a_mis_sized_or_strided_vector():
+    with pytest.raises(DimensionError):
+        ae.AutoencoderModel([3, 2], np.zeros(12))
+    with pytest.raises(DimensionError):
+        ae.AutoencoderModel([3, 2], np.zeros(2 * 17)[::2])
+
+
+def test_pretrain_and_representation_step_pass_adam_one_array(monkeypatch, rng):
+    calls = []
+    real = ae.adam_step
+
+    def counting(params, grads, state):
+        calls.append((len(params), len(grads)))
+        return real(params, grads, state)
+
+    monkeypatch.setattr(ae, "adam_step", counting)
+    m = ae.xavier_init([6, 5, 3], seed=1)
+    x = rng.normal(size=(20, 6))
+    ae.pretrain(m, x, epochs=2, batch_size=8, seed=0)
+    assert calls == [(1, 1)] * 6
+    calls.clear()
+    adam = ae.AdamState.for_params([m.encoder_flat])
+    ts = TransformState(v=np.eye(3), eigenvalues=np.zeros(3))
+    core.representation_step(m, x, rng.normal(size=(20, 3)), ts, "Y", adam)
+    assert calls == [(1, 1)]
 
 
 # Out-of-place reference numerics: the textbook expressions that the chunked
@@ -275,11 +371,19 @@ def _textbook_backward(ws, acts, delta):
     return gw, gb, delta
 
 
+def _textbook_backward_into(ws, acts, delta, gw_out, gb_out):
+    # the out-of-place reference, copied into the gradient buffer's views
+    gw, gb, delta = _textbook_backward(ws, acts, delta)
+    for out, g in zip(gw_out + gb_out, gw + gb):
+        out[...] = g
+    return delta
+
+
 def _use_textbook_numerics(monkeypatch):
     monkeypatch.setattr(ae, "adam_step", _textbook_adam_step)
     monkeypatch.setattr(ae, "_forward", _textbook_forward)
     monkeypatch.setattr(ae, "_output", lambda ws, bs, x: _textbook_forward(ws, bs, x)[-1])
-    monkeypatch.setattr(ae, "_backward", _textbook_backward)
+    monkeypatch.setattr(ae, "_backward", _textbook_backward_into)
 
 
 def test_adam_step_matches_textbook_formula_bit_for_bit():
@@ -351,7 +455,7 @@ def _pretrain_and_cluster():
     m = ae.xavier_init([64, 600, 4], seed=5)
     m, losses = ae.pretrain(m, ds.x, epochs=3, batch_size=64, seed=2)
     pretrained = [p.copy() for p in m.all_params()]
-    adam = ae.AdamState.for_params(m.encoder_params())
+    adam = ae.AdamState.for_params([m.encoder_flat])
     cfg = DekmConfig(k=4, max_outer_iters=3, inner_batch_size=64, seed=3, reset_optimizer=False)
     result, m, _ = run_dekm(m, ds.x, cfg, adam_state=adam)
     return pretrained, losses, m.encoder_params(), adam, result.assignments

@@ -279,3 +279,40 @@ def test_pretrain_rejects_a_checkpoint(small_config, capsys, where):
     err = capsys.readouterr().err
     assert "checkpoint" in err and "Traceback" not in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("repeats", "3"),
+        ("seed", "1"),
+        ("seed", -1),
+        ("hidden_dims", "ab"),
+        ("hidden_dims", [12, 0]),
+        ("pretrain_lr", "nan"),
+        ("pretrain_lr", -1.0),
+        ("pretrain_epochs", -3),
+        ("pretrain_batch_size", 0),
+        ("embedding_dim", 0),
+        ("embedding_dim", -2),
+        ("dekm", [1]),
+        ("checkpoint", 5),
+        ("out", 5),
+        ("dekm.max_outer_iters", -1),
+        ("dekm.k", "2"),
+        ("dekm.lr", "x"),
+    ],
+)
+def test_bad_config_values_fail_at_the_boundary(small_config, capsys, key, value):
+    cfg_path, tmp = small_config
+    cfg = json.loads(cfg_path.read_text())
+    if key.startswith("dekm."):
+        cfg["dekm"][key[len("dekm."):]] = value
+    else:
+        cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key.split(".")[-1] in err
+    assert "Traceback" not in err
+    assert not (tmp / "out").exists()

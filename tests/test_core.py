@@ -1,9 +1,14 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dekm.autoencoder as ae
 from dekm import core, data, kmeans as km
-from dekm.config import ExperimentConfig
+from dekm.config import ExperimentConfig, load_config
 from dekm.errors import ConfigurationError, DimensionError
 from dekm.linalg import TransformState
 
@@ -32,6 +37,31 @@ def test_config_validation():
         core.DekmConfig(k=2, stop_fraction=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_outer_iters", -1),
+        ("k", "2"),
+        ("k", True),
+        ("inner_steps", 1.5),
+        ("inner_batch_size", 0),
+        ("kmeans_max_iter", 0),
+        ("lr", -1),
+        ("lr", 0.0),
+        ("lr", "x"),
+        ("lr", float("nan")),
+        ("kmeans_tol", -1e-6),
+        ("kmeans_tol", float("nan")),
+        ("kmeans_tol", float("inf")),
+        ("stop_fraction", "0.1"),
+        ("reset_optimizer", "no"),
+    ],
+)
+def test_dekm_config_rejects_bad_values(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        core.DekmConfig(**{"k": 2, field: value})
+
+
 def test_dekm_config_overrides_are_validated():
     cfg = ExperimentConfig(dekm={"k": 2, "strategy": "all_dims_H"})
     dc = cfg.dekm_config(3, batch_mode="full_batch")
@@ -41,6 +71,49 @@ def test_dekm_config_overrides_are_validated():
         cfg.dekm_config(3, strategy="bogus")
     with pytest.raises(ConfigurationError, match="top-level seed"):
         ExperimentConfig(dekm={"k": 2, "seed": 5})
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_dekm_fields = st.fixed_dictionaries(
+    {"k": st.integers(1, 50)},
+    optional={
+        "max_outer_iters": st.integers(0, 100),
+        "inner_batch_size": st.integers(1, 1024),
+        "inner_steps": st.integers(0, 5),
+        "strategy": st.sampled_from(core.STRATEGIES),
+        "batch_mode": st.sampled_from(core.BATCH_MODES),
+        "stop_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "lr": _positive,
+        "kmeans_max_iter": st.integers(1, 1000),
+        "kmeans_tol": st.floats(min_value=0.0, allow_infinity=False),
+        "reset_optimizer": st.booleans(),
+    },
+)
+_experiment_configs = st.builds(
+    ExperimentConfig,
+    dataset=st.dictionaries(st.text(), st.integers() | _finite | st.text() | st.booleans(), max_size=4),
+    hidden_dims=st.lists(st.integers(1, 4096), max_size=4),
+    embedding_dim=st.none() | st.integers(1, 64),
+    pretrain_epochs=st.integers(0, 1000),
+    pretrain_batch_size=st.integers(1, 4096),
+    pretrain_lr=_positive,
+    checkpoint=st.none() | st.text(),
+    dekm=st.just({}) | _dekm_fields,
+    repeats=st.integers(1, 20),
+    out=st.text(),
+    seed=st.integers(0, 2**63),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=_experiment_configs)
+def test_config_to_dict_reloads_to_an_equal_config(cfg):
+    assert ExperimentConfig(**cfg.to_dict()) == cfg
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert load_config(str(path), {}) == cfg
 
 
 def test_build_transform_diagonal():
@@ -134,7 +207,7 @@ def test_representation_step_zero_loss_keeps_params(rng):
     x = rng.normal(size=(10, 6))
     h = ae.encode(model, x)
     ts = TransformState(v=np.eye(4), eigenvalues=np.zeros(4))
-    adam = ae.AdamState.for_params(model.encoder_params())
+    adam = ae.AdamState.for_params([model.encoder_flat])
     before = [p.copy() for p in model.encoder_params()]
     loss = core.representation_step(model, x, h.copy(), ts, "Y", adam)
     assert loss == 0.0
@@ -177,7 +250,7 @@ def test_representation_step_leaves_decoder_untouched(rng):
     model = ae.xavier_init([6, 5, 3], seed=1)
     x = rng.normal(size=(12, 6))
     dec_before = [p.copy() for p in model.dec_w + model.dec_b]
-    adam = ae.AdamState.for_params(model.encoder_params())
+    adam = ae.AdamState.for_params([model.encoder_flat])
     h = ae.encode(model, x)
     res = cluster(h, 2)
     ts = core.build_transform(km.within_class_scatter(h, res))
@@ -247,7 +320,7 @@ def test_run_dekm_eq3_identity_each_iteration():
     # the clustering objective at every iteration
     ds = synthetic_fixture()
     model = pretrained_model(ds, 2)
-    adam = ae.AdamState.for_params(model.encoder_params())
+    adam = ae.AdamState.for_params([model.encoder_flat])
     rng = np.random.default_rng(2)
     for _ in range(3):
         h = ae.encode(model, ds.x)

@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dekm import data, kmeans as km, metrics
 from dekm.errors import ConfigurationError, FormatError
@@ -104,6 +108,41 @@ def test_csv_roundtrip_bit_exact(tmp_path, rng):
     ds = data.load_csv(p, has_labels_column=True)
     assert np.array_equal(ds.x, x)
     assert np.array_equal(ds.labels, labels)
+
+
+@st.composite
+def _datasets(draw):
+    n, d = draw(st.integers(1, 20)), draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and -0.0 too
+    x = draw(arrays(np.float64, (n, d), elements=finite))
+    labels = draw(st.none() | arrays(np.int64, n, elements=st.integers(-(2**63) + 1, 2**63 - 1)))
+    return x, labels
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_datasets())
+def test_csv_roundtrip_property(case):
+    x, labels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        data.save_csv(path, x, labels)
+        ds = data.load_csv(path, has_labels_column=labels is not None)
+    assert ds.x.tobytes() == x.tobytes()
+    if labels is None:
+        assert ds.labels is None
+    else:
+        assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, labels)
+
+
+def test_labels_are_read_exactly(tmp_path):
+    # 2**53 + 1 has no float64; 2**63 - 1 is the largest int64
+    p = tmp_path / "big.csv"
+    p.write_text("0.5,9007199254740993\n0.25,9223372036854775807\n0.0,-3.0\n")
+    labels = data.load_csv(p, has_labels_column=True).labels
+    assert labels.tolist() == [2**53 + 1, 2**63 - 1, -3]
+    p.write_text("0.5,9223372036854775808\n")
+    with pytest.raises(FormatError, match="big.csv:1: column 2"):
+        data.load_csv(p, has_labels_column=True)
 
 
 def test_gen_synthetic_latent_oracle_clustering():
