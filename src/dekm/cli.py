@@ -32,14 +32,7 @@ def _load_dataset(cfg: ExperimentConfig) -> data.Dataset:
     spec = cfg.dataset
     kind = spec.get("type")
     if kind == "synthetic":
-        return data.gen_synthetic(
-            k=spec.get("k", cfg.dekm.get("k", 4)),
-            per_cluster_n=spec.get("per_cluster_n", 500),
-            latent_dim=spec.get("latent_dim", 2),
-            ambient_dim=spec.get("ambient_dim", 10),
-            separation=spec.get("separation", 5.0),
-            seed=spec.get("seed", cfg.seed),
-        )
+        return data.gen_synthetic(**cfg.synthetic_args())
     if kind == "csv":
         return data.load_csv(spec["path"], spec.get("has_labels", False))
     if kind == "idx":

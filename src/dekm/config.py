@@ -6,8 +6,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
-from .core import DekmConfig, check_int, check_real
-from .errors import ConfigurationError
+from . import data
+from .core import DekmConfig
+from .errors import ConfigurationError, check_int, check_real
 
 
 @dataclass
@@ -57,9 +58,27 @@ class ExperimentConfig:
                 self.dekm_config(self.seed)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"dekm config: {exc}") from exc
+        if self.dataset.get("type") == "synthetic":
+            try:
+                data.check_synthetic(**self.synthetic_args())
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"dataset: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def synthetic_args(self) -> dict:
+        """``gen_synthetic`` arguments from the ``dataset`` spec, defaults
+        filled in."""
+        spec = self.dataset
+        return {
+            "k": spec.get("k", self.dekm.get("k", 4)),
+            "per_cluster_n": spec.get("per_cluster_n", 500),
+            "latent_dim": spec.get("latent_dim", 2),
+            "ambient_dim": spec.get("ambient_dim", 10),
+            "separation": spec.get("separation", 5.0),
+            "seed": spec.get("seed", self.seed),
+        }
 
     def dekm_config(self, seed: int, **overrides) -> DekmConfig:
         if "k" not in self.dekm:

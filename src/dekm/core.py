@@ -12,8 +12,6 @@ Strategy tags follow the ablation surface:
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -22,32 +20,11 @@ import numpy as np
 from . import autoencoder as ae
 from . import kmeans as km
 from . import metrics
-from .errors import ConfigurationError, DimensionError, DivergenceError
+from .errors import ConfigurationError, DimensionError, DivergenceError, check_int, check_real
 from .linalg import TransformState, sym_eig
 
 STRATEGIES = ("last_dim_Y", "random_dim_Y", "all_dims_Y", "random_dim_H", "all_dims_H")
 BATCH_MODES = ("mini_batch", "full_batch")
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """Raise ``ConfigurationError`` unless ``value`` is an integer (not a
-    bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def check_real(name: str, value, positive: bool) -> None:
-    """Raise ``ConfigurationError`` unless ``value`` is a finite number (not
-    a bool) that is > 0 if ``positive``, else >= 0."""
-    ok = (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and (value > 0 if positive else value >= 0)
-    )
-    if not ok:
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass
@@ -211,10 +188,6 @@ def changed_fraction(prev_assignments, assignments) -> float:
         raise DimensionError(f"assignment lengths differ: {len(prev)} vs {len(cur)}")
     aligned = metrics.align_labels(prev, cur)
     return float(np.mean(aligned != prev))
-
-
-def should_stop(prev_assignments, assignments, stop_fraction: float) -> bool:
-    return changed_fraction(prev_assignments, assignments) < stop_fraction
 
 
 def run_dekm(

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, check_int, check_real
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -145,6 +145,25 @@ def save_csv(path, x: np.ndarray, labels=None) -> None:
             f.write(",".join(cells) + "\n")
 
 
+def check_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed) -> None:
+    """Raise ``ConfigurationError`` unless the ``gen_synthetic`` arguments
+    are valid: positive integer sizes, ``ambient_dim >= latent_dim``, a
+    finite ``separation > 0`` and an integer ``seed >= 0``."""
+    for name, value in (
+        ("k", k),
+        ("per_cluster_n", per_cluster_n),
+        ("latent_dim", latent_dim),
+        ("ambient_dim", ambient_dim),
+    ):
+        check_int(name, value, 1)
+    check_real("separation", separation, positive=True)
+    check_int("seed", seed, 0)
+    if ambient_dim < latent_dim:
+        raise ConfigurationError(
+            f"ambient_dim {ambient_dim} must be >= latent_dim {latent_dim}"
+        )
+
+
 def gen_synthetic(
     k: int,
     per_cluster_n: int,
@@ -157,12 +176,7 @@ def gen_synthetic(
     latent centroids are at least ``separation`` apart, lifted to the
     ambient space by a fixed random affine map plus tanh squashing, then
     min-max scaled into [0, 1]. Latent coordinates are kept in metadata."""
-    if ambient_dim < latent_dim:
-        raise ConfigurationError(
-            f"ambient_dim {ambient_dim} must be >= latent_dim {latent_dim}"
-        )
-    if k < 1 or per_cluster_n < 1 or separation <= 0:
-        raise ConfigurationError("k >= 1, per_cluster_n >= 1 and separation > 0 required")
+    check_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed)
     rng = np.random.default_rng(seed)
 
     centroids = rng.normal(size=(k, latent_dim))
@@ -177,11 +191,17 @@ def gen_synthetic(
 
     lift = rng.normal(size=(latent_dim, ambient_dim)) / np.sqrt(latent_dim)
     offset = rng.normal(size=ambient_dim)
-    x = np.tanh(latent @ lift * 0.25 + offset)
+    # in place, in the order of tanh(latent @ lift * 0.25 + offset)
+    x = latent @ lift
+    x *= 0.25
+    x += offset
+    np.tanh(x, out=x)
 
     lo = x.min(axis=0)
-    span = np.where(x.max(axis=0) - lo > 0, x.max(axis=0) - lo, 1.0)
-    x = (x - lo) / span
+    span = x.max(axis=0) - lo
+    span = np.where(span > 0, span, 1.0)
+    x -= lo
+    x /= span
     return Dataset(
         x=x,
         labels=labels,

@@ -31,9 +31,13 @@ def _row_norms(h: np.ndarray) -> np.ndarray:
 def _sq_dists(h: np.ndarray, centroids: np.ndarray, h_norms: np.ndarray) -> np.ndarray:
     """(n, k) squared euclidean distances; ``h_norms`` is ``_row_norms(h)``,
     computed once by callers that reuse one ``h`` across many calls."""
-    # ||h||^2 - 2 h.c + ||c||^2, clipped against tiny negative round-off
-    d = h_norms[:, None] - 2.0 * (h @ centroids.T) + _row_norms(centroids)[None, :]
-    return np.maximum(d, 0.0)
+    # ||h||^2 - 2 h.c + ||c||^2, clipped against tiny negative round-off;
+    # one buffer, filled in the order of the out-of-place expression
+    d = h @ centroids.T
+    d *= 2.0
+    np.subtract(h_norms[:, None], d, out=d)
+    d += _row_norms(centroids)
+    return np.maximum(d, 0.0, out=d)
 
 
 def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
@@ -59,35 +63,51 @@ def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
         else:
             idx = int(rng.integers(n))  # all mass on chosen points (duplicates)
         chosen[i] = idx
-        d2 = np.minimum(d2, _sq_dists(h, h[idx : idx + 1], h_norms)[:, 0])
+        np.minimum(d2, _sq_dists(h, h[idx : idx + 1], h_norms)[:, 0], out=d2)
     return h[chosen].copy()
 
 
-def _repair_empty(h, assignments, centroids, k):
+def _repair_empty(h, assignments, centroids, counts):
     """Move the globally farthest-from-its-centroid point into each empty
-    cluster."""
-    if np.bincount(assignments, minlength=k).min() > 0:
-        return assignments, centroids
-    for j in range(k):
-        if np.any(assignments == j):
+    cluster. ``counts`` is ``bincount(assignments, minlength=k)``; it,
+    ``assignments`` and ``centroids`` are updated in place."""
+    for j in range(len(counts)):
+        if counts[j] > 0:
             continue
         dist = np.sum((h - centroids[assignments]) ** 2, axis=1)
         # never steal a singleton, that would just move the hole
-        counts = np.bincount(assignments, minlength=k)
         dist[counts[assignments] <= 1] = -1.0
         donor = int(np.argmax(dist))
+        counts[assignments[donor]] -= 1
+        counts[j] += 1
         assignments[donor] = j
         centroids[j] = h[donor]
-    return assignments, centroids
 
 
-def _means(h, assignments, k, fallback):
+def _means(h, assignments, counts, fallback):
+    """Member means from one stable sort: cluster j's rows are one slice of
+    the sorted rows, in the order ``h[assignments == j]`` has them. Summing
+    that slice with ``add.reduce`` and dividing by the count is what
+    ``h[assignments == j].mean(axis=0)`` does, so the result is
+    bit-identical to it. Empty clusters keep their ``fallback`` row."""
     centroids = fallback.copy()
-    for j in range(k):
-        mask = assignments == j
-        if mask.any():
-            centroids[j] = h[mask].mean(axis=0)
+    # 8- or 16-bit keys (k < 65536): numpy's stable sort is a radix sort
+    keys = assignments.astype(np.min_scalar_type(len(counts)))
+    hs = np.take(h, np.argsort(keys, kind="stable"), axis=0)
+    lo = 0
+    for j, c in enumerate(counts.tolist()):
+        if c:
+            np.add.reduce(hs[lo : lo + c], axis=0, out=centroids[j])
+            lo += c
+    nz = counts > 0
+    centroids[nz] /= counts[nz, None]
     return centroids
+
+
+def _inertia(h, centroids, assignments) -> float:
+    diff = np.take(centroids, assignments, axis=0)
+    np.subtract(h, diff, out=diff)
+    return float(np.square(diff, out=diff).sum())
 
 
 def lloyd(
@@ -120,9 +140,10 @@ def lloyd(
     for _ in range(max_iter):
         # argmin takes the lowest index on ties
         new_assign = np.argmin(_sq_dists(h, centroids, h_norms), axis=1)
-        new_assign, centroids = _repair_empty(h, new_assign, centroids, k)
-        centroids = _means(h, new_assign, k, centroids)
-        inertia = float(np.sum((h - centroids[new_assign]) ** 2))
+        counts = np.bincount(new_assign, minlength=k)
+        _repair_empty(h, new_assign, centroids, counts)
+        centroids = _means(h, new_assign, counts, centroids)
+        inertia = _inertia(h, centroids, new_assign)
         iterations += 1
         trace.append(inertia)
         stable = assignments is not None and np.array_equal(new_assign, assignments)

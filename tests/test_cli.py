@@ -171,6 +171,35 @@ def test_gen_synth_writes_dataset(small_config):
     assert "config" in meta
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("per_cluster_n", "10"),
+        ("separation", "x"),
+        ("separation", float("nan")),
+        ("k", True),
+        ("latent_dim", 0),
+        ("seed", -2),
+    ],
+)
+@pytest.mark.parametrize("typed", [True, False])
+def test_gen_synth_rejects_bad_dataset_values(small_config, capsys, key, value, typed):
+    # typed: the spec says "type": "synthetic" and the config rejects it
+    # when built; untyped: gen-synth fills the type in and gen_synthetic
+    # rejects it
+    cfg_path, tmp = small_config
+    cfg = json.loads(cfg_path.read_text())
+    cfg["dataset"][key] = value
+    if not typed:
+        del cfg["dataset"]["type"]
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["gen-synth", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not (tmp / "out").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"bogus": 1, "dekm": {"k": 2}}))

@@ -262,12 +262,13 @@ def test_representation_step_leaves_decoder_untouched(rng):
 
 
 def test_should_stop():
+    # run_dekm's stopping rule: changed_fraction(prev, cur) < stop_fraction
     a = np.array([0, 1, 0, 1])
-    assert core.should_stop(a, a, 0.001)
-    assert core.should_stop(a, 1 - a, 0.001)  # pure relabeling, zero changes
-    assert not core.should_stop(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), 0.3)
+    assert core.changed_fraction(a, a) < 0.001
+    assert core.changed_fraction(a, 1 - a) < 0.001  # pure relabeling, zero changes
+    assert not core.changed_fraction(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])) < 0.3
     with pytest.raises(DimensionError):
-        core.should_stop(np.array([0, 1]), np.array([0, 1, 1]), 0.001)
+        core.changed_fraction(np.array([0, 1]), np.array([0, 1, 1]))
 
 
 def test_should_stop_threshold_arithmetic(rng):
@@ -277,7 +278,7 @@ def test_should_stop_threshold_arithmetic(rng):
         cur = prev.copy()
         idx = rng.choice(n, size=changes, replace=False)
         cur[idx] = (cur[idx] + 1) % 4
-        assert core.should_stop(prev, cur, 0.001) is expected
+        assert (core.changed_fraction(prev, cur) < 0.001) is expected
 
 
 def synthetic_fixture(seed=42):

@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,59 @@ def test_gen_synthetic_rejects_bad_dims():
         data.gen_synthetic(k=2, per_cluster_n=10, latent_dim=5, ambient_dim=3, separation=1.0, seed=0)
     with pytest.raises(ConfigurationError):
         data.gen_synthetic(k=0, per_cluster_n=10, latent_dim=2, ambient_dim=3, separation=1.0, seed=0)
+
+
+def test_gen_synthetic_matches_out_of_place_formula():
+    kw = dict(k=5, per_cluster_n=40, latent_dim=3, ambient_dim=12, separation=2.5, seed=11)
+    ds = data.gen_synthetic(**kw)
+    # replay the generator's draws: centroids, latent noise, lift, offset
+    rng = np.random.default_rng(kw["seed"])
+    rng.normal(size=(5, 3))
+    rng.normal(size=(200, 3))
+    lift = rng.normal(size=(3, 12)) / np.sqrt(3)
+    offset = rng.normal(size=12)
+    x = np.tanh(ds.meta["latent"] @ lift * 0.25 + offset)
+    lo = x.min(axis=0)
+    span = np.where(x.max(axis=0) - lo > 0, x.max(axis=0) - lo, 1.0)
+    assert np.array_equal(ds.x, (x - lo) / span)
+
+
+def test_gen_synthetic_builds_x_in_place():
+    # x is the only (n, ambient_dim) array; a second one would reach 2x,
+    # and the out-of-place formula held three at once
+    tracemalloc.start()
+    try:
+        ds = data.gen_synthetic(
+            k=4, per_cluster_n=2000, latent_dim=2, ambient_dim=100, separation=5.0, seed=0
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.x.nbytes
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k", True),
+        ("k", 2.0),
+        ("per_cluster_n", "10"),
+        ("per_cluster_n", 0),
+        ("latent_dim", 0),
+        ("ambient_dim", -1),
+        ("separation", "x"),
+        ("separation", float("inf")),
+        ("separation", float("nan")),
+        ("separation", 0.0),
+        ("seed", -1),
+        ("seed", 1.5),
+    ],
+)
+def test_gen_synthetic_rejects_bad_values(key, value):
+    kw = dict(k=2, per_cluster_n=10, latent_dim=2, ambient_dim=3, separation=1.0, seed=0)
+    kw[key] = value
+    with pytest.raises(ConfigurationError, match=key):
+        data.gen_synthetic(**kw)
 
 
 def test_load_csv_rejects_non_integral_labels(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,82 @@ def test_sq_dists_cached_norms_are_bit_identical(rng):
     c = rng.normal(size=(11, 7))
     cached = km._sq_dists(h, c, km._row_norms(h))
     assert np.array_equal(cached, _uncached_sq_dists(h, c, None))
+
+
+def _reference_sq_dists(h, c, h_norms):
+    return np.maximum(h_norms[:, None] - 2.0 * (h @ c.T) + np.sum(c * c, axis=1)[None, :], 0.0)
+
+
+def _reference_repair_empty(h, assignments, centroids, k):
+    for j in range(k):
+        if np.any(assignments == j):
+            continue
+        dist = np.sum((h - centroids[assignments]) ** 2, axis=1)
+        counts = np.bincount(assignments, minlength=k)
+        dist[counts[assignments] <= 1] = -1.0
+        donor = int(np.argmax(dist))
+        assignments[donor] = j
+        centroids[j] = h[donor]
+
+
+def _reference_means(h, assignments, k, fallback):
+    centroids = fallback.copy()
+    for j in range(k):
+        mask = assignments == j
+        if mask.any():
+            centroids[j] = h[mask].mean(axis=0)
+    return centroids
+
+
+@pytest.mark.parametrize("e", [1, 3, 10, 32])
+def test_lloyd_steps_match_out_of_place_formulas_bit_for_bit(rng, e):
+    # The in-place distance buffer, the sort-based means and the in-place
+    # inertia against the per-cluster-mask and whole-array forms they
+    # replace, with empty clusters, Fortran-ordered input and -0.0 entries.
+    for trial in range(12):
+        n, k = int(rng.integers(40, 400)), int(rng.integers(2, 40))
+        h = rng.normal(size=(n, e)) * rng.uniform(0.1, 10.0)
+        h[rng.random(size=h.shape) < 0.1] = -0.0
+        if trial % 3 == 0:
+            h[:, 0] = -0.0  # a column whose means are all -0.0
+        if trial % 2:
+            h = np.asfortranarray(h)
+        c = rng.normal(size=(k, e))
+        norms = km._row_norms(h)
+        assert np.array_equal(km._sq_dists(h, c, norms), _reference_sq_dists(h, c, norms))
+
+        # draw from a subset of the clusters so that some are empty
+        used = rng.choice(k, size=max(1, k - int(rng.integers(0, k))), replace=False)
+        a = used[rng.integers(len(used), size=n)]
+        ref_a, ref_c = a.copy(), c.copy()
+        _reference_repair_empty(h, ref_a, ref_c, k)
+        counts = np.bincount(a, minlength=k)
+        km._repair_empty(h, a, c, counts)
+        assert np.array_equal(a, ref_a) and np.array_equal(c, ref_c)
+        assert np.array_equal(counts, np.bincount(a, minlength=k))
+
+        # means with empty clusters left in (they keep the fallback row)
+        sub = used[rng.integers(len(used), size=n)]
+        means = km._means(h, sub, np.bincount(sub, minlength=k), c)
+        ref = _reference_means(h, sub, k, c)
+        assert np.array_equal(means, ref)
+        assert np.array_equal(np.signbit(means), np.signbit(ref))
+        assert km._inertia(h, ref, sub) == float(np.sum((h - ref[sub]) ** 2))
+
+
+def test_lloyd_keeps_no_full_size_temporaries():
+    # One (n, k) distance buffer at a time; the out-of-place expressions
+    # held two (n, k) or two (n, e) arrays at once.
+    n, k = 6400, 32
+    h = np.random.default_rng(0).normal(size=(n, k))
+    init = h[:k].copy()
+    tracemalloc.start()
+    try:
+        km.lloyd(h, k, init, max_iter=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * k * 8
 
 
 def test_within_class_scatter_zero_when_points_are_centroids():
