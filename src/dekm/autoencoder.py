@@ -131,10 +131,27 @@ def _forward(ws, bs, x):
     return acts
 
 
+# Activation bytes one block of a full-data forward pass may hold in its
+# widest layer; 1048 rows at the paper's 2000-wide layer.
+FORWARD_BLOCK_BYTES = 16 << 20
+
+
 def _output(ws, bs, x):
     """The last activation of ``_forward``; each intermediate is dropped as
-    soon as the next layer has been computed from it."""
-    last = len(ws) - 1
+    soon as the next layer has been computed from it.
+
+    Inputs of more rows than one block (FORWARD_BLOCK_BYTES of the widest
+    activation) are pushed through in row blocks written into one result,
+    so memory does not grow with the row count. Each block's rows equal
+    ``_output`` on that slice; since BLAS results depend on the row count,
+    they may differ from an unblocked pass by a few ulp."""
+    rows = max(1, FORWARD_BLOCK_BYTES // (8 * max(w.shape[1] for w in ws)))
+    n, last = x.shape[0], len(ws) - 1
+    if n > rows:
+        out = np.empty((n, ws[-1].shape[1]))
+        for lo in range(0, n, rows):
+            out[lo : lo + rows] = _output(ws, bs, x[lo : lo + rows])
+        return out
     for i, (w, b) in enumerate(zip(ws, bs)):
         x = _layer(x, w, b, i != last)
     return x

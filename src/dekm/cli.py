@@ -100,28 +100,28 @@ def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start_model, tags=None
     the loop config.
 
     Returns the per-repeat (history, seconds) pairs, the last repeat's
-    (result, model), and the history.jsonl text: every record tagged with
-    its repeat and ``tags``, timing blanked so the file is deterministic.
+    result, and the history.jsonl text: every record tagged with its repeat
+    and ``tags``, timing blanked so the file is deterministic.
     """
     runs, lines = [], []
     for r in range(cfg.repeats):
         seed = cfg.seed + r
         t0 = time.perf_counter()
-        result, model, history = core.run_dekm(
+        result, _, history = core.run_dekm(
             start_model(r, seed), ds.x, cfg.dekm_config(seed, **overrides), labels=ds.labels
         )
         runs.append((history, time.perf_counter() - t0))
         for rec in history.as_dicts():
             rec.update(tags or {}, repeat=r, seconds=None)
             lines.append(json.dumps(rec, sort_keys=True) + "\n")
-    return runs, (result, model), "".join(lines)
+    return runs, result, "".join(lines)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     ds = _load_dataset(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    runs, (last_result, last_model), history_text = _run_repeats(
+    runs, last_result, history_text = _run_repeats(
         cfg, ds, lambda r, seed: _pretrained_model(cfg, ds, seed)
     )
     summaries = [
@@ -153,7 +153,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     _write(out / "results.json", _json_dumps(results))
     _write(out / "history.jsonl", history_text)
 
-    h = ae.encode(last_model, ds.x)
+    h = runs[-1][0].embedding
     lines = [_config_comment(cfg)]
     lines.append(",".join([f"h{j}" for j in range(h.shape[1])] + ["cluster"]) + "\n")
     for i in range(h.shape[0]):

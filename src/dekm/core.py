@@ -91,6 +91,8 @@ class IterationRecord:
 class RunHistory:
     records: list[IterationRecord] = field(default_factory=list)
     stopped_early: bool = False
+    # the final pass's embedding, which its clustering was computed on
+    embedding: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dicts(self) -> list[dict]:
         return [asdict(r) for r in self.records]
@@ -203,8 +205,9 @@ def run_dekm(
     transform, centroids and targets fixed while the encoder takes one
     epoch of Adam steps (or a single full-batch step). Stops when the
     aligned label-change fraction drops below ``stop_fraction`` or the
-    iteration budget runs out; the last pass only encodes and clusters, and
-    its record has ``l4=None``.
+    iteration budget runs out. The last record has ``l4=None`` and holds
+    the returned clustering: after a stop, that of the stopping pass, which
+    is not encoded or clustered again.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < config.k:
@@ -221,9 +224,10 @@ def run_dekm(
     for it in range(config.max_outer_iters + 1):
         final = history.stopped_early or it == config.max_outer_iters
         t0 = time.perf_counter()
-        h = ae.encode(model, x)
-        init = km.kmeanspp_init(h, config.k, rng)
-        result = km.lloyd(h, config.k, init, config.kmeans_max_iter, config.kmeans_tol)
+        if not history.stopped_early:  # else the encoder and h are unchanged
+            h = ae.encode(model, x)
+            init = km.kmeanspp_init(h, config.k, rng)
+            result = km.lloyd(h, config.k, init, config.kmeans_max_iter, config.kmeans_tol)
         l4 = None
         if not final:
             transform = build_transform(km.within_class_scatter(h, result))
@@ -243,9 +247,10 @@ def run_dekm(
             )
         )
         if final:
+            history.embedding = h
             break
         if changed is not None and changed < config.stop_fraction:
-            # one more pass, compared against the assignments before the stop
+            # the final record repeats this clustering with l4=None
             history.stopped_early = True
             continue
         prev_assign = result.assignments

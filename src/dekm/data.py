@@ -52,7 +52,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raw_labels = _read_exact(f, n_lab, labels_path)
     if n != n_lab:
         raise FormatError(f"image count {n} != label count {n_lab}")
-    x = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols).astype(np.float64) / 255.0
+    x = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols).astype(np.float64)
+    x /= 255.0  # in place: one float64 copy alive, not two
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(int)
     return Dataset(
         x=x,

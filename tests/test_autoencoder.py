@@ -506,3 +506,53 @@ def test_encode_keeps_no_dead_activations():
         tracemalloc.stop()
     widest = 4000 * 1024 * 8
     assert peak < x.nbytes + 1.5 * widest
+
+
+# Full-data forward passes run in row blocks of FORWARD_BLOCK_BYTES of the
+# widest activation: 2048 rows for a 1024-wide layer. ``_forward`` is the
+# unblocked pass.
+
+
+def _unblocked(ws, bs, x):
+    return ae._forward(ws, bs, x)[-1]
+
+
+def _block_rows(ws):
+    return ae.FORWARD_BLOCK_BYTES // (8 * max(w.shape[1] for w in ws))
+
+
+def test_forward_within_one_block_is_one_unblocked_pass(rng):
+    m = ae.xavier_init([32, 1024, 10], seed=3)
+    rows = _block_rows(m.enc_w)
+    assert rows == _block_rows(m.dec_w) == 2048
+    x = rng.normal(size=(rows, 32))
+    h = ae.encode(m, x)
+    assert np.array_equal(h, _unblocked(m.enc_w, m.enc_b, x))
+    assert np.array_equal(ae.decode(m, h), _unblocked(m.dec_w, m.dec_b, h))
+
+
+def test_forward_blocks_equal_unblocked_passes_on_their_slices(rng):
+    m = ae.xavier_init([32, 1024, 10], seed=3)
+    rows = _block_rows(m.enc_w)
+    x = rng.normal(size=(2 * rows + 37, 32))  # two full blocks and a partial one
+    h = ae.encode(m, x)
+    r = ae.decode(m, h)
+    assert h.shape == (x.shape[0], 10) and r.shape == x.shape
+    for lo in range(0, x.shape[0], rows):
+        block = slice(lo, lo + rows)
+        assert np.array_equal(h[block], _unblocked(m.enc_w, m.enc_b, x[block]))
+        assert np.array_equal(r[block], _unblocked(m.dec_w, m.dec_b, h[block]))
+    assert np.allclose(h, _unblocked(m.enc_w, m.enc_b, x), rtol=1e-12, atol=1e-12)
+
+
+def test_encode_memory_does_not_grow_with_rows():
+    # 8192 rows through a 1024-wide layer: 64 MiB unblocked, 16 MiB a block
+    m = ae.xavier_init([32, 1024, 10], seed=0)
+    x = np.random.default_rng(0).normal(size=(8192, 32))
+    tracemalloc.start()
+    try:
+        h = ae.encode(m, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + h.nbytes + 1.5 * ae.FORWARD_BLOCK_BYTES

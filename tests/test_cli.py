@@ -80,6 +80,22 @@ def test_run_outputs_and_repeats(small_config):
     assert len(emb_lines) == 2 + 240
 
 
+def test_run_writes_the_final_embedding_without_encoding_again(small_config, monkeypatch):
+    cfg_path, tmp = small_config
+    encodes, at_return = [], []
+    encode, run_dekm = cli.ae.encode, cli.core.run_dekm
+
+    def counted_run_dekm(*a, **kw):
+        out = run_dekm(*a, **kw)
+        at_return.append(len(encodes))
+        return out
+
+    monkeypatch.setattr(cli.ae, "encode", lambda *a: encodes.append(1) or encode(*a))
+    monkeypatch.setattr(cli.core, "run_dekm", counted_run_dekm)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp / "e")]) == 0
+    assert len(at_return) == 2 and at_return[-1] == len(encodes)
+
+
 def test_run_zero_iters_is_baseline(small_config):
     cfg_path, tmp = small_config
     cli.main(["run", "--config", str(cfg_path), "--iters", "0", "--out", str(tmp / "z")])

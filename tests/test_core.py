@@ -367,6 +367,27 @@ def test_run_dekm_stopping_rule_triggers():
     assert len(history.records) <= 4
 
 
+def test_run_dekm_returns_the_pass_that_stopped(monkeypatch):
+    ds = synthetic_fixture()
+    model = pretrained_model(ds, 4)
+    encodes, results = [], []
+    encode, lloyd = ae.encode, km.lloyd
+    monkeypatch.setattr(ae, "encode", lambda *a: encodes.append(encode(*a)) or encodes[-1])
+    monkeypatch.setattr(km, "lloyd", lambda *a: results.append(lloyd(*a)) or results[-1])
+    cfg = core.DekmConfig(k=4, max_outer_iters=50, stop_fraction=0.9, seed=4)
+    result, model, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
+    # the rule fires at pass s = 1, the first with a change fraction: s + 1
+    # encodes, and the final record repeats the stopping pass's clustering
+    *_, stop, final = history.records
+    assert history.stopped_early and stop.iter == 1 and final.iter == 2
+    assert stop.changed_fraction < cfg.stop_fraction and stop.l4 is not None
+    assert len(encodes) == len(results) == stop.iter + 1
+    assert result is results[-1] and history.embedding is encodes[-1]
+    for name in ("inertia", "changed_fraction", "acc", "nmi"):
+        assert getattr(final, name) == getattr(stop, name)
+    assert final.l4 is None
+
+
 def test_run_dekm_full_batch_mode_runs():
     ds = synthetic_fixture()
     model = pretrained_model(ds, 5)

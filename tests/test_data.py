@@ -42,6 +42,22 @@ def test_load_idx_all_zero_image(tmp_path):
     assert np.array_equal(ds.x, np.zeros((1, 16)))
 
 
+def test_load_idx_scales_in_place(tmp_path):
+    # 40 images make a 245 KiB float64 array, below the 256 KiB from which
+    # numpy reuses an expression's temporary on its own
+    images = np.random.default_rng(0).integers(0, 256, size=(40, 28, 28), dtype=np.uint8)
+    img, lab = write_idx_pair(tmp_path, images, [i % 10 for i in range(40)])
+    tracemalloc.start()
+    try:
+        ds = data.load_idx(img, lab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.x, images.reshape(40, 784).astype(np.float64) / 255.0)
+    # the pixel bytes plus one float64 copy (9/8 of it); a second copy is 17/8
+    assert peak < 1.5 * ds.x.nbytes
+
+
 def test_load_idx_bad_magic(tmp_path):
     img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
     lab.write_bytes(struct.pack(">II", 0x999, 1) + b"\x00")
