@@ -69,8 +69,10 @@ def _pretrained_model(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
     if not cfg.checkpoint:
         return _pretrain(cfg, ds, seed)[0]
     model, _ = ae.load_checkpoint(cfg.checkpoint)
-    if model.input_dim != ds.d:
-        raise ConfigurationError(f"checkpoint input dim {model.input_dim} != dataset dim {ds.d}")
+    if model.dims != cfg.encoder_dims(ds.d):
+        raise ConfigurationError(
+            f"checkpoint dims {model.dims} != config dims {cfg.encoder_dims(ds.d)}"
+        )
     return model
 
 

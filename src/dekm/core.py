@@ -40,7 +40,6 @@ class DekmConfig:
     lr: float = 0.001
     kmeans_max_iter: int = 300
     kmeans_tol: float = 1e-6
-    reset_optimizer: bool = True  # fresh Adam state at the start of the loop
 
     def __post_init__(self):
         for name, minimum in (
@@ -59,10 +58,6 @@ class DekmConfig:
             raise ConfigurationError(
                 f"stop_fraction must be in (0, 1), got {self.stop_fraction}"
             )
-        if not isinstance(self.reset_optimizer, bool):
-            raise ConfigurationError(
-                f"reset_optimizer must be true or false, got {self.reset_optimizer!r}"
-            )
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
@@ -71,9 +66,6 @@ class DekmConfig:
             raise ConfigurationError(
                 f"unknown batch mode {self.batch_mode!r}; expected one of {BATCH_MODES}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -132,7 +124,7 @@ def greedy_targets(
     per_point_cent = cents[r.assignments]
 
     if strategy.startswith("all_dims"):
-        return per_point_cent.copy(), space
+        return per_point_cent, space
     if strategy.startswith("last_dim"):
         dim = e - 1
     else:
@@ -156,25 +148,12 @@ def representation_step(
     model: ae.AutoencoderModel,
     x_batch: np.ndarray,
     targets_batch: np.ndarray,
-    transform: TransformState,
-    space: str,
     adam: ae.AdamState,
 ) -> float:
-    """One Adam step on the encoder minimizing ||V f(x) - y'||^2 (Y space)
-    or ||f(x) - target||^2 (H space). The decoder is untouched.
-
-    V is square orthonormal, so the Y-space loss equals the embedding-space
-    loss against the pulled-back target V^T y'; gradients flow through f
-    with V constant either way.
-    """
-    if space == "Y":
-        targets_h = targets_batch @ transform.v
-    elif space == "H":
-        targets_h = targets_batch
-    else:
-        raise ConfigurationError(f"unknown target space {space!r}")
+    """One Adam step on the encoder minimizing ||f(x) - target||^2 against
+    embedding-space targets. The decoder is untouched."""
     grad = np.empty_like(model.encoder_flat)
-    _, loss = ae.backprop_embedding(model, x_batch, targets_h, out=grad)
+    _, loss = ae.backprop_embedding(model, x_batch, targets_batch, out=grad)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite representation loss")
     ae.adam_step([model.encoder_flat], [grad], adam)
@@ -197,7 +176,6 @@ def run_dekm(
     x: np.ndarray,
     config: DekmConfig,
     labels=None,
-    adam_state: ae.AdamState | None = None,
 ) -> tuple[km.ClusterResult, ae.AutoencoderModel, RunHistory]:
     """Alternate clustering and encoder updates (the outer loop).
 
@@ -213,10 +191,7 @@ def run_dekm(
     if x.shape[0] < config.k:
         raise ConfigurationError(f"{x.shape[0]} samples for k={config.k}")
     rng = np.random.default_rng(config.seed)
-    if adam_state is not None and not config.reset_optimizer:
-        adam = adam_state
-    else:
-        adam = ae.AdamState.for_params([model.encoder_flat], lr=config.lr)
+    adam = ae.AdamState.for_params([model.encoder_flat], lr=config.lr)
     history = RunHistory()
     prev_assign = None
     n = x.shape[0]
@@ -233,6 +208,9 @@ def run_dekm(
             transform = build_transform(km.within_class_scatter(h, result))
             targets, space = greedy_targets(h, transform, result, config.strategy, rng)
             l4 = greedy_loss(h, transform, targets, space)
+            if space == "Y":
+                # V is orthonormal: ||V f(x) - y'||^2 = ||f(x) - V^T y'||^2
+                targets = targets @ transform.v
 
         changed = None if prev_assign is None else changed_fraction(prev_assign, result.assignments)
         history.records.append(
@@ -257,11 +235,11 @@ def run_dekm(
 
         if config.batch_mode == "full_batch":
             for _ in range(config.inner_steps):
-                representation_step(model, x, targets, transform, space, adam)
+                representation_step(model, x, targets, adam)
         else:
             for _ in range(config.inner_steps):
                 order = rng.permutation(n)
                 for start in range(0, n, config.inner_batch_size):
                     idx = order[start : start + config.inner_batch_size]
-                    representation_step(model, x[idx], targets[idx], transform, space, adam)
+                    representation_step(model, x[idx], targets[idx], adam)
     return result, model, history

@@ -170,5 +170,4 @@ def within_class_scatter(h: np.ndarray, r: ClusterResult) -> np.ndarray:
             f"{len(r.assignments)} assignments for {h.shape[0]} samples"
         )
     centered = h - r.centroids[r.assignments]
-    sw = centered.T @ centered
-    return 0.5 * (sw + sw.T)
+    return centered.T @ centered

@@ -70,23 +70,16 @@ def nmi(g, c) -> float:
     return 2.0 * mi / (hg + hc)
 
 
-def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimal-cost perfect matching. Rectangular inputs are padded square
-    with zeros. Returns (column index per row, total cost over the original
-    entries)."""
+def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Minimal-cost matching of min(r, c) rows to distinct columns. Returns
+    (rows, cols, total cost of the matched pairs)."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise DimensionError(f"cost must be 2-D, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise NumericError("cost matrix contains non-finite entries")
-    r, c = cost.shape
-    size = max(r, c)
-    padded = np.zeros((size, size))
-    padded[:r, :c] = cost
-    _, assignment = linear_sum_assignment(padded)  # rows come back as arange(size)
-    real = np.flatnonzero(assignment[:r] < c)
-    total = float(cost[real, assignment[real]].sum())
-    return assignment, total
+    rows, cols = linear_sum_assignment(cost)
+    return rows, cols, float(cost[rows, cols].sum())
 
 
 def acc(g, c) -> float:
@@ -94,22 +87,21 @@ def acc(g, c) -> float:
     mapping between cluster labels and ground-truth labels."""
     g, c = _check_pair(g, c)
     table = contingency(g, c)  # rows g, cols c
-    _, total = hungarian(-table.astype(np.float64).T)  # maximize matches
+    _, _, total = hungarian(-table.astype(np.float64).T)  # maximize matches
     return -total / len(g)
 
 
 def align_labels(reference, labels) -> np.ndarray:
     """Relabel ``labels`` by the Hungarian matching that maximizes agreement
-    with ``reference``. Unmatched cluster labels keep fresh indices past the
-    reference range."""
+    with ``reference``. Unmatched cluster labels get fresh consecutive
+    indices past the reference range, in label order."""
     reference, labels = _check_pair(reference, labels)
     table, ref_vals, lab_vals, li = _count_table(reference, labels)
-    assignment, _ = hungarian(-table.astype(np.float64).T)
-    match = assignment[: len(lab_vals)]
-    matched = match < len(ref_vals)
+    rows, cols, _ = hungarian(-table.astype(np.float64).T)
     out_map = np.empty(len(lab_vals), dtype=ref_vals.dtype)
-    out_map[matched] = ref_vals[match[matched]]
-    out_map[~matched] = ref_vals.max() + 1 + np.arange(np.count_nonzero(~matched))
+    out_map[rows] = ref_vals[cols]
+    unmatched = np.setdiff1d(np.arange(len(lab_vals)), rows)
+    out_map[unmatched] = ref_vals.max() + 1 + np.arange(len(unmatched))
     return out_map[li]
 
 

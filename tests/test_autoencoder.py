@@ -12,7 +12,6 @@ import dekm.autoencoder as ae
 from dekm import core, data
 from dekm.core import DekmConfig, run_dekm
 from dekm.errors import ConfigurationError, DimensionError, DivergenceError, FormatError
-from dekm.linalg import TransformState
 
 from conftest import finite_difference_grads, max_gradient_rel_error, relu_pattern
 
@@ -331,8 +330,7 @@ def test_pretrain_and_representation_step_pass_adam_one_array(monkeypatch, rng):
     assert calls == [(1, 1)] * 6
     calls.clear()
     adam = ae.AdamState.for_params([m.encoder_flat])
-    ts = TransformState(v=np.eye(3), eigenvalues=np.zeros(3))
-    core.representation_step(m, x, rng.normal(size=(20, 3)), ts, "Y", adam)
+    core.representation_step(m, x, rng.normal(size=(20, 3)), adam)
     assert calls == [(1, 1)]
 
 
@@ -447,7 +445,7 @@ def _sha256(arrays):
     return h.hexdigest()
 
 
-def _pretrain_and_cluster():
+def _pretrain_and_cluster(monkeypatch):
     # enc_w[0] and dec_w[-1] have 38400 entries, more than one Adam chunk
     ds = data.gen_synthetic(
         k=4, per_cluster_n=50, latent_dim=2, ambient_dim=64, separation=5.0, seed=31
@@ -455,18 +453,30 @@ def _pretrain_and_cluster():
     m = ae.xavier_init([64, 600, 4], seed=5)
     m, losses = ae.pretrain(m, ds.x, epochs=3, batch_size=64, seed=2)
     pretrained = [p.copy() for p in m.all_params()]
-    adam = ae.AdamState.for_params([m.encoder_flat])
-    cfg = DekmConfig(k=4, max_outer_iters=3, inner_batch_size=64, seed=3, reset_optimizer=False)
-    result, m, _ = run_dekm(m, ds.x, cfg, adam_state=adam)
+    # run_dekm starts its own Adam state; capture it through whichever
+    # adam_step is installed (the chunked one or the textbook reference)
+    states = []
+    step = ae.adam_step
+
+    def capturing(params, grads, state):
+        states.append(state)
+        return step(params, grads, state)
+
+    monkeypatch.setattr(ae, "adam_step", capturing)
+    cfg = DekmConfig(k=4, max_outer_iters=3, inner_batch_size=64, seed=3)
+    result, m, _ = run_dekm(m, ds.x, cfg)
+    monkeypatch.setattr(ae, "adam_step", step)
+    adam = states[0]
+    assert all(s is adam for s in states)
     return pretrained, losses, m.encoder_params(), adam, result.assignments
 
 
-def test_pretrain_and_run_dekm_are_pinned():
+def test_pretrain_and_run_dekm_are_pinned(monkeypatch):
     # Digests recorded with the out-of-place numerics. The GEMM summation
     # order belongs to the BLAS kernel, so they hold for the BLAS build they
     # were recorded with (OpenBLAS, x86-64); the next test checks the same
     # property on any BLAS.
-    pretrained, losses, enc, adam, assignments = _pretrain_and_cluster()
+    pretrained, losses, enc, adam, assignments = _pretrain_and_cluster(monkeypatch)
     assert _sha256(pretrained) == (
         "6c718efa1d80f132a6e7fc736a454c07f9eb559ecbd104da6ee2e0e1b13850e0"
     )
@@ -483,9 +493,9 @@ def test_pretrain_and_run_dekm_are_pinned():
 
 
 def test_pretrain_and_run_dekm_match_textbook_numerics(monkeypatch):
-    pre, losses, enc, adam, assignments = _pretrain_and_cluster()
+    pre, losses, enc, adam, assignments = _pretrain_and_cluster(monkeypatch)
     _use_textbook_numerics(monkeypatch)
-    ref_pre, ref_losses, ref_enc, ref_adam, ref_assignments = _pretrain_and_cluster()
+    ref_pre, ref_losses, ref_enc, ref_adam, ref_assignments = _pretrain_and_cluster(monkeypatch)
     assert losses == ref_losses
     assert adam.t == ref_adam.t
     for g, w in zip(pre + enc + adam.m + adam.v, ref_pre + ref_enc + ref_adam.m + ref_adam.v):

@@ -222,15 +222,24 @@ def test_unknown_config_key_rejected(tmp_path):
     assert cli.main(["pretrain", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("command", ["pretrain", "run"])
-def test_unknown_dekm_key_is_a_config_error(small_config, capsys, command):
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        pytest.param("pretrain", "max_iters", id="pretrain"),
+        pytest.param("run", "max_iters", id="run"),
+        # not a DekmConfig field: old configs that still set it exit 2
+        pytest.param("pretrain", "reset_optimizer", id="pretrain-reset_optimizer"),
+        pytest.param("run", "reset_optimizer", id="run-reset_optimizer"),
+    ],
+)
+def test_unknown_dekm_key_is_a_config_error(small_config, capsys, command, key):
     cfg_path, tmp = small_config
     cfg = json.loads(cfg_path.read_text())
-    cfg["dekm"]["max_iters"] = 5
+    cfg["dekm"][key] = 5
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert "max_iters" in err
+    assert key in err
     assert "Traceback" not in err
 
 
@@ -297,6 +306,23 @@ def test_bad_checkpoint_fails_at_the_boundary(small_config, capsys, case, code):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "checkpoint" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_checkpoint_must_match_the_config_dims(small_config, capsys, command):
+    cfg_path, tmp = small_config
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--out", str(tmp / "ck")]) == 0
+    cfg = json.loads(cfg_path.read_text())
+    cfg.update(hidden_dims=[500], embedding_dim=7)
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp / "r"),
+            "--checkpoint", str(tmp / "ck" / "checkpoint.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "[8, 12, 12, 4]" in err and "[8, 500, 7]" in err
+    assert "Traceback" not in err
+    assert not list((tmp / "r").glob("*.*"))
 
 
 def test_dekm_seed_key_is_rejected(small_config, capsys):

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from dekm import metrics
+from dekm import core, metrics
 from dekm.errors import ConfigurationError, DimensionError, NumericError
 
 from conftest import brute_force_acc, brute_force_matching
@@ -63,14 +66,14 @@ def test_acc_pigeonhole_on_balanced_classes(rng):
 
 def test_hungarian_diagonal():
     cost = np.full((3, 3), 5.0) - 4.0 * np.eye(3)
-    assignment, total = metrics.hungarian(cost)
-    assert np.array_equal(assignment, [0, 1, 2])
+    rows, cols, total = metrics.hungarian(cost)
+    assert np.array_equal(rows, [0, 1, 2]) and np.array_equal(cols, [0, 1, 2])
     assert total == pytest.approx(3.0)
 
 
 def test_hungarian_two_by_two():
-    assignment, total = metrics.hungarian(np.array([[4.0, 1.0], [2.0, 3.0]]))
-    assert np.array_equal(assignment, [1, 0])
+    rows, cols, total = metrics.hungarian(np.array([[4.0, 1.0], [2.0, 3.0]]))
+    assert np.array_equal(rows, [0, 1]) and np.array_equal(cols, [1, 0])
     assert total == pytest.approx(3.0)
 
 
@@ -78,25 +81,73 @@ def test_hungarian_matches_brute_force(rng):
     for _ in range(100):
         k = int(rng.integers(2, 8))
         cost = rng.uniform(0, 10, size=(k, k))
-        _, total = metrics.hungarian(cost)
+        _, _, total = metrics.hungarian(cost)
         best_total, _ = brute_force_matching(cost)
         assert total == pytest.approx(best_total, abs=1e-9)
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
-def test_hungarian_rectangular_marks_unmatched(rng, shape):
-    r, c = shape
+def _brute_force_rectangular(cost):
+    """Minimal total over every injective map of the shorter side into the
+    longer one."""
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    r, c = cost.shape
+    return min(
+        sum(cost[i, j] for i, j in enumerate(cols))
+        for cols in itertools.permutations(range(c), r)
+    )
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (1, 4), (4, 1)])
+def test_hungarian_rectangular_matches_the_shorter_side(rng, shape):
     for _ in range(20):
         cost = rng.normal(size=shape)
-        assignment, total = metrics.hungarian(cost)
-        padded = np.zeros((max(shape), max(shape)))
-        padded[:r, :c] = cost
-        best, _ = brute_force_matching(padded)
-        assert sorted(assignment.tolist()) == list(range(max(shape)))
-        real = [(i, j) for i, j in enumerate(assignment[:r]) if j < c]
-        assert len(real) == min(shape)
-        assert total == pytest.approx(sum(cost[i, j] for i, j in real), abs=1e-12)
-        assert total == pytest.approx(best, abs=1e-12)
+        rows, cols, total = metrics.hungarian(cost)
+        assert len(rows) == len(cols) == min(shape)
+        assert len(set(rows.tolist())) == len(set(cols.tolist())) == min(shape)
+        assert total == pytest.approx(float(cost[rows, cols].sum()), abs=1e-12)
+        assert total == pytest.approx(_brute_force_rectangular(cost), abs=1e-12)
+
+
+# The square-padding matching that ``hungarian`` used before it matched
+# rectangular costs directly, with the ``acc`` and ``align_labels`` built on
+# it: the reference the rectangular versions must reproduce bit for bit.
+
+
+def _padded_hungarian(cost):
+    r, c = cost.shape
+    size = max(r, c)
+    padded = np.zeros((size, size))
+    padded[:r, :c] = cost
+    _, assignment = linear_sum_assignment(padded)
+    real = np.flatnonzero(assignment[:r] < c)
+    return assignment, float(cost[real, assignment[real]].sum())
+
+
+def _padded_acc(g, c):
+    _, total = _padded_hungarian(-metrics.contingency(g, c).astype(np.float64).T)
+    return -total / len(g)
+
+
+def _padded_changed_fraction(prev, cur):
+    table, ref_vals, lab_vals, li = metrics._count_table(prev, cur)
+    assignment, _ = _padded_hungarian(-table.astype(np.float64).T)
+    match = assignment[: len(lab_vals)]
+    matched = match < len(ref_vals)
+    out_map = np.empty(len(lab_vals), dtype=ref_vals.dtype)
+    out_map[matched] = ref_vals[match[matched]]
+    out_map[~matched] = ref_vals.max() + 1 + np.arange(np.count_nonzero(~matched))
+    return float(np.mean(out_map[li] != prev))
+
+
+def test_rectangular_matching_keeps_acc_and_changed_fraction_bits(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        g = rng.integers(int(rng.integers(1, 9)), size=n)
+        c = rng.integers(int(rng.integers(1, 9)), size=n) * int(rng.integers(1, 4))
+        assert 1 <= len(np.unique(g)) <= 8 and 1 <= len(np.unique(c)) <= 8
+        assert metrics.acc(g, c) == _padded_acc(g, c)
+        assert core.changed_fraction(g, c) == _padded_changed_fraction(g, c)
 
 
 def test_hungarian_rejects_nonfinite():
