@@ -65,15 +65,18 @@ def _pretrain(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
     )
 
 
-def _pretrained_model(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
+def _start_model(cfg: ExperimentConfig, ds: data.Dataset):
+    """Return ``start(seed)``, which gives the model a run starts from: a
+    copy of the checkpoint, read and checked once here, or else a model
+    pretrained with ``seed``."""
     if not cfg.checkpoint:
-        return _pretrain(cfg, ds, seed)[0]
+        return lambda seed: _pretrain(cfg, ds, seed)[0]
     model, _ = ae.load_checkpoint(cfg.checkpoint)
     if model.dims != cfg.encoder_dims(ds.d):
         raise ConfigurationError(
             f"checkpoint dims {model.dims} != config dims {cfg.encoder_dims(ds.d)}"
         )
-    return model
+    return lambda seed: model.copy()
 
 
 def cmd_pretrain(cfg: ExperimentConfig) -> int:
@@ -96,9 +99,9 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start_model, tags=None, **overrides):
+def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start, tags=None, **overrides):
     """Run the DEKM loop once per repeat ``r`` with seed ``cfg.seed + r``,
-    from the model ``start_model(r, seed)`` and with ``overrides`` applied to
+    from the model ``start(seed)`` and with ``overrides`` applied to
     the loop config.
 
     Returns the per-repeat (history, seconds) pairs, the last repeat's
@@ -110,7 +113,7 @@ def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start_model, tags=None
         seed = cfg.seed + r
         t0 = time.perf_counter()
         result, _, history = core.run_dekm(
-            start_model(r, seed), ds.x, cfg.dekm_config(seed, **overrides), labels=ds.labels
+            start(seed), ds.x, cfg.dekm_config(seed, **overrides), labels=ds.labels
         )
         runs.append((history, time.perf_counter() - t0))
         for rec in history.as_dicts():
@@ -123,9 +126,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     ds = _load_dataset(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    runs, last_result, history_text = _run_repeats(
-        cfg, ds, lambda r, seed: _pretrained_model(cfg, ds, seed)
-    )
+    runs, last_result, history_text = _run_repeats(cfg, ds, _start_model(cfg, ds))
     summaries = [
         {
             "repeat": r,
@@ -156,12 +157,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     _write(out / "history.jsonl", history_text)
 
     h = runs[-1][0].embedding
-    lines = [_config_comment(cfg)]
-    lines.append(",".join([f"h{j}" for j in range(h.shape[1])] + ["cluster"]) + "\n")
-    for i in range(h.shape[0]):
-        cells = [repr(float(v)) for v in h[i]] + [str(int(last_result.assignments[i]))]
-        lines.append(",".join(cells) + "\n")
-    _write(out / "embedding.csv", "".join(lines))
+    header = ",".join([f"h{j}" for j in range(h.shape[1])] + ["cluster"]) + "\n"
+    data.save_csv(out / "embedding.csv", h, last_result.assignments, _config_comment(cfg) + header)
     print(f"wrote {out / 'results.json'}, {out / 'history.jsonl'}, {out / 'embedding.csv'}")
     for run in summaries:
         print(f"  repeat {run['repeat']}: acc={run['acc']} nmi={run['nmi']}")
@@ -188,14 +185,15 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
 
     # One pretrained model per repeat seed, shared across all variants so
     # every curve starts from the same iteration-0 clustering.
-    base_models = [_pretrained_model(cfg, ds, cfg.seed + r) for r in range(cfg.repeats)]
+    start = _start_model(cfg, ds)
+    base_models = {seed: start(seed) for seed in range(cfg.seed, cfg.seed + cfg.repeats)}
 
     acc_runs = {}
     for name, (strategy, batch_mode) in ABLATION_VARIANTS.items():
         runs, _, history_text = _run_repeats(
             cfg,
             ds,
-            lambda r, seed: base_models[r].copy(),
+            lambda seed: base_models[seed].copy(),
             {"variant": name},
             strategy=strategy,
             batch_mode=batch_mode,
@@ -269,6 +267,15 @@ def cmd_gen_synth(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# The subcommands that read an experiment config; eval reads two label files.
+COMMANDS = {
+    "pretrain": cmd_pretrain,
+    "run": cmd_run,
+    "ablate": cmd_ablate,
+    "gen-synth": cmd_gen_synth,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dekm",
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="cluster count")
         p.add_argument("--checkpoint", help="model checkpoint to start from")
 
-    for name in ("pretrain", "run", "ablate", "gen-synth"):
+    for name in COMMANDS:
         common(sub.add_parser(name))
 
     p_eval = sub.add_parser("eval")
@@ -306,16 +313,7 @@ def main(argv=None) -> int:
             k: getattr(args, k, None)
             for k in ("seed", "out", "iters", "strategy", "batch_mode", "repeats", "k", "checkpoint")
         }
-        cfg = load_config(args.config, overrides)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        if args.command == "gen-synth":
-            return cmd_gen_synth(cfg)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](load_config(args.config, overrides))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

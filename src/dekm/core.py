@@ -20,8 +20,10 @@ import numpy as np
 from . import autoencoder as ae
 from . import kmeans as km
 from . import metrics
-from .errors import ConfigurationError, DimensionError, DivergenceError, check_int, check_real
-from .linalg import TransformState, sym_eig
+from .errors import (
+    ConfigurationError, ConvergenceError, DimensionError, DivergenceError, NumericError,
+    check_int, check_real,
+)
 
 STRATEGIES = ("last_dim_Y", "random_dim_Y", "all_dims_Y", "random_dim_H", "all_dims_H")
 BATCH_MODES = ("mini_batch", "full_batch")
@@ -90,10 +92,38 @@ class RunHistory:
         return [asdict(r) for r in self.records]
 
 
+@dataclass(frozen=True)
+class TransformState:
+    """Orthonormal transform from an eigendecomposition.
+
+    ``v`` holds eigenvectors as rows, ordered by ascending eigenvalue, so
+    ``v @ s @ v.T`` is diagonal with ``eigenvalues`` on the diagonal.
+    """
+
+    v: np.ndarray
+    eigenvalues: np.ndarray
+
+
 def build_transform(s_w: np.ndarray) -> TransformState:
-    """Eigendecompose the within-class scatter; the last row of the result
-    is the least-informative direction (largest scatter)."""
-    return sym_eig(s_w)
+    """Eigendecompose the within-class scatter by LAPACK ``eigh``, after
+    averaging it with its transpose. The last row of ``v`` is the
+    least-informative direction (largest scatter). Each row's first entry
+    of largest magnitude is positive, so the signs do not depend on LAPACK.
+    Raises NumericError on non-finite entries and ConvergenceError if
+    LAPACK fails to converge."""
+    s = np.asarray(s_w, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
+        raise DimensionError(f"expected a non-empty square matrix, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise NumericError("matrix contains non-finite entries")
+    try:
+        eigenvalues, vecs = np.linalg.eigh(0.5 * (s + s.T))  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    v = np.ascontiguousarray(vecs.T)  # eigenvectors as rows
+    pivots = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    v[pivots < 0.0] *= -1.0
+    return TransformState(v=v, eigenvalues=eigenvalues)
 
 
 def greedy_targets(

@@ -135,10 +135,11 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def save_csv(path, x: np.ndarray, labels=None) -> None:
-    """Write features (repr-precision floats) with an optional trailing
-    integer label column."""
+def save_csv(path, x: np.ndarray, labels=None, header: str = "") -> None:
+    """Write ``header`` verbatim, then features (repr-precision floats)
+    with an optional trailing integer label column."""
     with open(path, "w") as f:
+        f.write(header)
         for i in range(x.shape[0]):
             cells = [repr(float(v)) for v in x[i]]
             if labels is not None:

@@ -93,15 +93,21 @@ def acc(g, c) -> float:
 
 def align_labels(reference, labels) -> np.ndarray:
     """Relabel ``labels`` by the Hungarian matching that maximizes agreement
-    with ``reference``. Unmatched cluster labels get fresh consecutive
-    indices past the reference range, in label order."""
+    with ``reference``. Unmatched cluster labels get fresh labels in label
+    order: consecutive ones past the reference's largest label, or, where
+    those would not fit in int64, the smallest labels from 0 that the
+    reference does not use."""
     reference, labels = _check_pair(reference, labels)
     table, ref_vals, lab_vals, li = _count_table(reference, labels)
     rows, cols, _ = hungarian(-table.astype(np.float64).T)
     out_map = np.empty(len(lab_vals), dtype=ref_vals.dtype)
     out_map[rows] = ref_vals[cols]
     unmatched = np.setdiff1d(np.arange(len(lab_vals)), rows)
-    out_map[unmatched] = ref_vals.max() + 1 + np.arange(len(unmatched))
+    if ref_vals.max() <= np.iinfo(np.int64).max - len(unmatched):
+        fresh = ref_vals.max() + 1 + np.arange(len(unmatched))
+    else:  # of len(ref_vals) + len(unmatched) labels, enough are free
+        fresh = np.setdiff1d(np.arange(len(ref_vals) + len(unmatched)), ref_vals)
+    out_map[unmatched] = fresh[: len(unmatched)]
     return out_map[li]
 
 

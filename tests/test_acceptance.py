@@ -14,7 +14,7 @@ import pytest
 
 import dekm.autoencoder as ae
 from dekm import cli, core, data, kmeans as km, metrics
-from dekm.linalg import sym_eig
+from dekm.core import build_transform
 
 from conftest import (
     brute_force_acc,
@@ -47,7 +47,7 @@ def test_criterion_2_eigensolver_suite():
         e = int(rng.integers(1, 17))
         a = rng.normal(size=(e, e)) * rng.uniform(0.1, 10)
         s = a + a.T
-        ts = sym_eig(s)
+        ts = build_transform(s)
         scale = 1.0 + np.max(np.abs(s))
         worst_orth = max(worst_orth, float(np.max(np.abs(ts.v @ ts.v.T - np.eye(e)))))
         recon = np.max(np.abs(ts.v.T @ np.diag(ts.eigenvalues) @ ts.v - s))
@@ -75,7 +75,7 @@ def test_criterion_3_trace_transform_identity():
         h = rng.normal(size=(n, e)) * rng.uniform(0.5, 3)
         res = km.lloyd(h, k, km.kmeanspp_init(h, k, rng))
         sw = km.within_class_scatter(h, res)
-        v = sym_eig(sw).v
+        v = build_transform(sw).v
         y = h @ v.T
         my = res.centroids @ v.T
         inertia_y = float(np.sum((y - my[res.assignments]) ** 2))

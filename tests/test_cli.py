@@ -309,6 +309,33 @@ def test_bad_checkpoint_fails_at_the_boundary(small_config, capsys, case, code):
 
 
 @pytest.mark.parametrize("command", ["run", "ablate"])
+def test_the_checkpoint_is_read_once_per_command(small_config, monkeypatch, command):
+    cfg_path, tmp = small_config
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--out", str(tmp / "ck")]) == 0
+    loads = []
+    load = cli.ae.load_checkpoint
+    monkeypatch.setattr(cli.ae, "load_checkpoint", lambda *a: loads.append(1) or load(*a))
+    ck = str(tmp / "ck" / "checkpoint.json")
+    argv = [command, "--config", str(cfg_path), "--checkpoint", ck, "--repeats", "3",
+            "--iters", "2", "--out", str(tmp / "r")]
+    assert cli.main(argv) == 0
+    assert len(loads) == 1
+
+
+def test_each_repeat_starts_from_the_unchanged_checkpoint(small_config):
+    cfg_path, tmp = small_config
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--out", str(tmp / "ck")]) == 0
+    base = ["run", "--config", str(cfg_path), "--checkpoint", str(tmp / "ck" / "checkpoint.json")]
+    assert cli.main([*base, "--repeats", "3", "--out", str(tmp / "all")]) == 0
+    runs = read_results(tmp / "all")["runs"]
+    for r in range(3):
+        out = tmp / f"one{r}"
+        assert cli.main([*base, "--repeats", "1", "--seed", str(7 + r), "--out", str(out)]) == 0
+        alone = read_results(out)["runs"][0]
+        assert {**alone, "repeat": r} == runs[r]
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
 def test_checkpoint_must_match_the_config_dims(small_config, capsys, command):
     cfg_path, tmp = small_config
     assert cli.main(["pretrain", "--config", str(cfg_path), "--out", str(tmp / "ck")]) == 0

@@ -10,7 +10,7 @@ import dekm.autoencoder as ae
 from dekm import core, data, kmeans as km
 from dekm.config import ExperimentConfig, load_config
 from dekm.errors import ConfigurationError, DimensionError
-from dekm.linalg import TransformState
+from dekm.core import TransformState
 
 from conftest import finite_difference_grads, max_gradient_rel_error, relu_pattern
 

@@ -6,7 +6,7 @@ import pytest
 
 from dekm import data, kmeans as km
 from dekm.errors import ConfigurationError, DimensionError
-from dekm.linalg import sym_eig
+from dekm.core import build_transform
 
 from conftest import brute_force_kmeans
 
@@ -272,7 +272,7 @@ def test_scatter_trace_equals_inertia(rng):
         assert np.trace(sw) == pytest.approx(res.inertia, abs=1e-9)
         # S_w is symmetric PSD
         assert np.array_equal(sw, sw.T)
-        assert np.min(sym_eig(sw).eigenvalues) >= -1e-10
+        assert np.min(build_transform(sw).eigenvalues) >= -1e-10
 
 
 def test_scatter_rejects_inconsistent_result(rng):
@@ -283,11 +283,11 @@ def test_scatter_rejects_inconsistent_result(rng):
 
 
 def test_transform_invariance(rng):
-    # inertia is invariant under the orthonormal transform from sym_eig
+    # inertia is invariant under the orthonormal transform from build_transform
     for _ in range(10):
         h = rng.normal(size=(25, 5))
         res = lloyd_pp(h, 3, seed=int(rng.integers(1 << 30)))
-        v = sym_eig(km.within_class_scatter(h, res)).v
+        v = build_transform(km.within_class_scatter(h, res)).v
         y = h @ v.T
         my = res.centroids @ v.T
         inertia_y = float(np.sum((y - my[res.assignments]) ** 2))

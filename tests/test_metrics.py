@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,16 @@ def test_align_labels_gives_unmatched_clusters_fresh_labels():
     labels = np.array([2, 2, 0, 0, 1, 3])
     # 2 -> 5 and 0 -> 7 are matched; 1 and 3 get 8 and 9 in label order
     assert np.array_equal(metrics.align_labels(reference, labels), [5, 5, 7, 7, 8, 9])
+
+
+def test_align_labels_does_not_overflow_past_the_largest_int64():
+    reference = np.array([2**63 - 1, 2**63 - 1, -(2**63), -(2**63)])
+    labels = np.array([0, 0, 1, 2])  # one of clusters 1 and 2 is unmatched
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        aligned = metrics.align_labels(reference, labels)
+        assert core.changed_fraction(reference, labels) == 0.25
+    assert int(np.sum(~np.isin(aligned, reference))) == 1
 
 
 def test_non_integral_labels_are_rejected():
