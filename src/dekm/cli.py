@@ -169,7 +169,6 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 ABLATION_VARIANTS = {
     "last_dim_Y": ("last_dim_Y", "mini_batch"),
     "random_dim_Y": ("random_dim_Y", "mini_batch"),
-    "all_dims_Y": ("all_dims_Y", "mini_batch"),
     "random_dim_H": ("random_dim_H", "mini_batch"),
     "all_dims_H": ("all_dims_H", "mini_batch"),
     "last_dim_Y_full": ("last_dim_Y", "full_batch"),
@@ -220,18 +219,17 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
 
 def _read_label_file(path) -> np.ndarray:
     vals = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            cell = line.split(",")[0].strip()
-            try:
-                v = data.int64_label(cell)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if v is None:
-                raise FormatError(f"{path}:{lineno}: label {cell!r} is not a 64-bit integer")
-            vals.append(v)
+    for lineno, line in data.text_lines(path):
+        if not line.strip():
+            continue
+        cell = line.split(",")[0].strip()
+        try:
+            v = data.int64_label(cell)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if v is None:
+            raise FormatError(f"{path}:{lineno}: label {cell!r} is not a 64-bit integer")
+        vals.append(v)
     if not vals:
         raise ConfigurationError(f"{path}: no labels")
     return np.array(vals, dtype=int)

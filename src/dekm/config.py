@@ -11,6 +11,10 @@ from .core import DekmConfig
 from .errors import ConfigurationError, check_int, check_real
 
 
+# the file paths each file-backed dataset type requires
+_PATH_KEYS = {"csv": ("path",), "idx": ("images", "labels")}
+
+
 @dataclass
 class ExperimentConfig:
     dataset: dict = field(default_factory=dict)
@@ -58,11 +62,22 @@ class ExperimentConfig:
                 self.dekm_config(self.seed)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"dekm config: {exc}") from exc
-        if self.dataset.get("type") == "synthetic":
+        kind = self.dataset.get("type")
+        if kind == "synthetic":
             try:
                 data.check_synthetic(**self.synthetic_args())
             except ConfigurationError as exc:
                 raise ConfigurationError(f"dataset: {exc}") from exc
+        for key in _PATH_KEYS.get(kind, ()):
+            if not isinstance(self.dataset.get(key), str):
+                raise ConfigurationError(
+                    f"dataset: type {kind} needs {key} as a path string, "
+                    f"got {self.dataset.get(key)!r}"
+                )
+        if kind == "csv" and not isinstance(self.dataset.get("has_labels", False), bool):
+            raise ConfigurationError(
+                f"dataset: has_labels must be true or false, got {self.dataset['has_labels']!r}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -104,7 +119,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         try:
             with open(path) as f:
                 doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config root must be an object, got {type(doc).__name__}")

@@ -3,11 +3,14 @@ within-class scatter, build greedy targets along the chosen dimension(s),
 and update the encoder only.
 
 Strategy tags follow the ablation surface:
-  last_dim_Y    replace the last coordinate of y = V h with the centroid's
-  random_dim_Y  same, on a dimension redrawn once per outer iteration
-  all_dims_Y    full centroid target in the transformed space
-  random_dim_H  one dimension of h toward the centroid, no transform
+  last_dim_Y    move h toward its centroid along the least-informative
+                eigenvector only (the last coordinate of y = V h)
+  random_dim_Y  same, along an eigenvector redrawn once per outer iteration
+  random_dim_H  one coordinate of h toward the centroid, no transform
   all_dims_H    full centroid target in the embedding space
+
+V is orthonormal, so a full centroid target in y = V h would be the
+``all_dims_H`` objective: ||V h - V c||^2 = ||h - c||^2.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     check_int, check_real,
 )
 
-STRATEGIES = ("last_dim_Y", "random_dim_Y", "all_dims_Y", "random_dim_H", "all_dims_H")
+STRATEGIES = ("last_dim_Y", "random_dim_Y", "random_dim_H", "all_dims_H")
 BATCH_MODES = ("mini_batch", "full_batch")
 
 
@@ -132,45 +135,37 @@ def greedy_targets(
     r: km.ClusterResult,
     strategy: str,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, str]:
-    """Build per-sample regression targets in the space the strategy works
-    in. Returns (targets, space) with space "Y" or "H". Random-dimension
-    strategies draw their dimension once, from ``rng``."""
+) -> np.ndarray:
+    """Per-sample embedding-space regression targets. A Y strategy moves h
+    toward its centroid c along the eigenvector u = ``t.v[dim]`` only:
+    h + ((c - h) . u) u, which replaces coordinate ``dim`` of y = V h since V
+    is orthonormal. Random-dimension strategies draw ``dim`` once, from
+    ``rng``."""
     h = np.asarray(h, dtype=np.float64)
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     if len(r.assignments) != h.shape[0]:
         raise DimensionError("cluster result inconsistent with embeddings")
-    e = h.shape[1]
-
-    if strategy.endswith("_Y"):
-        points = h @ t.v.T
-        cents = r.centroids @ t.v.T
-        space = "Y"
-    else:
-        points = h
-        cents = r.centroids
-        space = "H"
-    per_point_cent = cents[r.assignments]
-
-    if strategy.startswith("all_dims"):
-        return per_point_cent, space
-    if strategy.startswith("last_dim"):
-        dim = e - 1
+    per_point_cent = r.centroids[r.assignments]
+    if strategy == "all_dims_H":
+        return per_point_cent
+    if strategy == "last_dim_Y":
+        dim = h.shape[1] - 1
     else:
         if rng is None:
             raise ConfigurationError(f"strategy {strategy!r} needs an rng")
-        dim = int(rng.integers(e))
-    targets = points.copy()
-    targets[:, dim] = per_point_cent[:, dim]
-    return targets, space
+        dim = int(rng.integers(h.shape[1]))
+    if strategy == "random_dim_H":
+        targets = h.copy()
+        targets[:, dim] = per_point_cent[:, dim]
+        return targets
+    u = t.v[dim]
+    return h + np.outer((per_point_cent - h) @ u, u)
 
 
-def greedy_loss(h: np.ndarray, t: TransformState, targets: np.ndarray, space: str) -> float:
-    """Current value of the greedy objective for targets built by
-    ``greedy_targets``."""
-    points = h @ t.v.T if space == "Y" else h
-    diff = points - targets
+def greedy_loss(h: np.ndarray, targets: np.ndarray) -> float:
+    """Current value of the greedy objective, sum ||h - target||^2."""
+    diff = h - targets
     return float(np.sum(diff * diff))
 
 
@@ -236,11 +231,8 @@ def run_dekm(
         l4 = None
         if not final:
             transform = build_transform(km.within_class_scatter(h, result))
-            targets, space = greedy_targets(h, transform, result, config.strategy, rng)
-            l4 = greedy_loss(h, transform, targets, space)
-            if space == "Y":
-                # V is orthonormal: ||V f(x) - y'||^2 = ||f(x) - V^T y'||^2
-                targets = targets @ transform.v
+            targets = greedy_targets(h, transform, result, config.strategy, rng)
+            l4 = greedy_loss(h, targets)
 
         changed = None if prev_assign is None else changed_fraction(prev_assign, result.assignments)
         history.records.append(

@@ -30,6 +30,25 @@ class Dataset:
         return self.x.shape[1]
 
 
+def _open_input(path, *args, **kwargs):
+    """``open`` for an input file: one that cannot be opened is a
+    ``ConfigurationError``."""
+    try:
+        return open(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
+def text_lines(path):
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file.
+    Undecodable bytes are a ``FormatError`` naming the file."""
+    with _open_input(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, start=1)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_exact(f, count, path):
     buf = f.read(count)
     if len(buf) != count:
@@ -40,12 +59,12 @@ def _read_exact(f, count, path):
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-layout IDX image/label pair. Pixels are flattened
     row-major and scaled into [0, 1]."""
-    with open(images_path, "rb") as f:
+    with _open_input(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad magic 0x{magic:08x}")
         raw = _read_exact(f, n * rows * cols, images_path)
-    with open(labels_path, "rb") as f:
+    with _open_input(labels_path, "rb") as f:
         magic, n_lab = struct.unpack(">II", _read_exact(f, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"{labels_path}: bad magic 0x{magic:08x}")
@@ -70,25 +89,24 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
     linenos: list[int] = []
     label_cells: list[str] = []
     width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise FormatError(
-                    f"{path}:{lineno}: ragged row, {len(cells)} cells, expected {width}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                bad = next(i for i, c in enumerate(cells) if not _is_number(c))
-                raise FormatError(f"{path}:{lineno}: column {bad + 1}: {exc}") from exc
-            linenos.append(lineno)
-            label_cells.append(cells[-1])
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise FormatError(
+                f"{path}:{lineno}: ragged row, {len(cells)} cells, expected {width}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            bad = next(i for i, c in enumerate(cells) if not _is_number(c))
+            raise FormatError(f"{path}:{lineno}: column {bad + 1}: {exc}") from exc
+        linenos.append(lineno)
+        label_cells.append(cells[-1])
     if not rows:
         raise FormatError(f"{path}: no data rows")
     a = np.array(rows, dtype=np.float64)

@@ -140,13 +140,13 @@ def test_criterion_6_gradient_checks():
             k = min(2, x.shape[0])
             res = km.lloyd(h, k, km.kmeanspp_init(h, k, rng))
             ts = core.build_transform(km.within_class_scatter(h, res))
-            targets, _ = core.greedy_targets(h, ts, res, "last_dim_Y")
+            targets = core.greedy_targets(h, ts, res, "last_dim_Y")
 
-            def loss_fn():
-                d = ae.encode(model, x) @ ts.v.T - targets
+            def loss_fn():  # the greedy loss written in Y = V h
+                d = (ae.encode(model, x) - targets) @ ts.v.T
                 return float(np.sum(d * d))
 
-            grads, loss = ae.backprop_embedding(model, x, targets @ ts.v)
+            grads, loss = ae.backprop_embedding(model, x, targets)
             fd = finite_difference_grads(
                 loss_fn,
                 model.encoder_params(),
@@ -166,18 +166,19 @@ def test_criterion_7_greedy_objective_identities():
         res = km.lloyd(h, k, km.kmeanspp_init(h, k, rng))
         ts = core.build_transform(km.within_class_scatter(h, res))
 
-        targets, space = core.greedy_targets(h, ts, res, "all_dims_Y")
-        worst_all = max(
-            worst_all, abs(core.greedy_loss(h, ts, targets, space) - res.inertia)
-        )
-
-        targets, space = core.greedy_targets(h, ts, res, "last_dim_Y")
+        targets = core.greedy_targets(h, ts, res, "all_dims_H")
         y = h @ ts.v.T
         my = res.centroids @ ts.v.T
-        residual = float(np.sum((y[:, -1] - my[res.assignments, -1]) ** 2))
-        worst_last = max(
-            worst_last, abs(core.greedy_loss(h, ts, targets, space) - residual)
+        d = y - my[res.assignments]  # all dims in Y: V is orthonormal
+        worst_all = max(
+            worst_all,
+            abs(core.greedy_loss(h, targets) - res.inertia),
+            abs(float(np.sum(d * d)) - res.inertia),
         )
+
+        targets = core.greedy_targets(h, ts, res, "last_dim_Y")
+        residual = float(np.sum((y[:, -1] - my[res.assignments, -1]) ** 2))
+        worst_last = max(worst_last, abs(core.greedy_loss(h, targets) - residual))
     assert worst_all < 1e-8
     assert worst_last < 1e-12
     report(7, f"all-dims vs inertia {worst_all:.2e}, last-dim residual {worst_last:.2e}")

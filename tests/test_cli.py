@@ -144,7 +144,6 @@ def test_ablate_outputs_aligned_curves(small_config):
     assert set(header[1:]) == {
         "last_dim_Y",
         "random_dim_Y",
-        "all_dims_Y",
         "random_dim_H",
         "all_dims_H",
         "last_dim_Y_full",
@@ -261,7 +260,7 @@ def test_ablate_histories_are_deterministic(small_config):
         argv = ["ablate", "--config", str(cfg_path), "--iters", "2", "--out", str(tmp / out)]
         assert cli.main(argv) == 0
     histories = sorted(p.name for p in (tmp / "a1").glob("history_*.jsonl"))
-    assert len(histories) == 6
+    assert len(histories) == 5
     for name in histories:
         assert (tmp / "a1" / name).read_bytes() == (tmp / "a2" / name).read_bytes()
     tables = [(tmp / out / "ablation.csv").read_text().splitlines() for out in ("a1", "a2")]
@@ -412,5 +411,75 @@ def test_bad_config_values_fail_at_the_boundary(small_config, capsys, key, value
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key.split(".")[-1] in err
+    assert "Traceback" not in err
+    assert not (tmp / "out").exists()
+
+
+def test_retired_all_dims_Y_strategy_exits_2(small_config, capsys):
+    # all_dims_Y minimised ||V h - V c||^2 = ||h - c||^2, the all_dims_H loss
+    cfg_path, tmp = small_config
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(cfg_path), "--strategy", "all_dims_Y"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = json.loads(cfg_path.read_text())
+    cfg["dekm"]["strategy"] = "all_dims_Y"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'all_dims_Y'" in err and "all_dims_H" in err and "last_dim_Y" in err
+    assert "Traceback" not in err
+    assert not (tmp / "out").exists()
+
+
+# case, exit code, what the error message names
+BOUNDARY_CASES = [
+    ("csv_without_path", 2, "path"),
+    ("csv_path_not_a_string", 2, "path"),
+    ("csv_has_labels_not_a_bool", 2, "has_labels"),
+    ("idx_without_images", 2, "images"),
+    ("missing_csv", 2, "nope.csv"),
+    ("missing_idx", 2, "nope.idx"),
+    ("csv_is_a_directory", 2, "a_dir"),
+    ("non_utf8_csv", 1, "bad.csv"),
+    ("missing_eval_labels", 2, "nope.txt"),
+    ("non_utf8_eval_labels", 1, "bad.csv"),
+    ("non_utf8_config", 2, "bad.json"),
+]
+
+
+@pytest.mark.parametrize("case, code, named", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
+def test_bad_dataset_specs_and_unreadable_inputs_fail_at_the_boundary(
+    small_config, capsys, case, code, named
+):
+    cfg_path, tmp = small_config
+    good, bad = tmp / "good.csv", tmp / "bad.csv"
+    good.write_text("0.5,0\n0.25,1\n")
+    bad.write_bytes(b"0.5,0\n\xff\xfe,1\n")
+    (tmp / "a_dir").mkdir()
+    specs = {
+        "csv_without_path": {"type": "csv"},
+        "csv_path_not_a_string": {"type": "csv", "path": [str(good)]},
+        "csv_has_labels_not_a_bool": {"type": "csv", "path": str(good), "has_labels": "yes"},
+        "idx_without_images": {"type": "idx", "labels": str(tmp / "nope.idx")},
+        "missing_csv": {"type": "csv", "path": str(tmp / "nope.csv")},
+        "missing_idx": {"type": "idx", "images": str(tmp / "nope.idx"), "labels": str(good)},
+        "csv_is_a_directory": {"type": "csv", "path": str(tmp / "a_dir")},
+        "non_utf8_csv": {"type": "csv", "path": str(bad)},
+    }
+    if case in specs:
+        cfg = json.loads(cfg_path.read_text())
+        cfg["dataset"] = specs[case]
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["run", "--config", str(cfg_path)]
+    elif case == "non_utf8_config":
+        (tmp / "bad.json").write_bytes(b'{"dekm": {"k": 2}, "out": "\xff"}')
+        argv = ["run", "--config", str(tmp / "bad.json")]
+    else:
+        labels = tmp / ("nope.txt" if case == "missing_eval_labels" else "bad.csv")
+        argv = ["eval", str(labels), str(good), "--out", str(tmp / "out")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
     assert "Traceback" not in err
     assert not (tmp / "out").exists()

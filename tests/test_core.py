@@ -141,8 +141,8 @@ def test_greedy_targets_point_at_centroid_contributes_zero(rng):
     h2 = res.centroids[res.assignments].copy()  # move every point onto its centroid
     res2 = km.lloyd(h2, 3, res.centroids)
     for strategy in core.STRATEGIES:
-        targets, space = core.greedy_targets(h2, ts, res2, strategy, rng)
-        assert core.greedy_loss(h2, ts, targets, space) == pytest.approx(0.0, abs=1e-16)
+        targets = core.greedy_targets(h2, ts, res2, strategy, rng)
+        assert core.greedy_loss(h2, targets) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_greedy_targets_identity_transform_hand_case():
@@ -154,40 +154,44 @@ def test_greedy_targets_identity_transform_hand_case():
         iterations_run=1,
     )
     ts = TransformState(v=np.eye(2), eigenvalues=np.array([0.0, 0.0]))
-    targets, space = core.greedy_targets(h, ts, res, "last_dim_Y")
-    assert space == "Y"
+    targets = core.greedy_targets(h, ts, res, "last_dim_Y")
     assert np.array_equal(targets, np.array([[3.0, 0.0]]))
-    assert core.greedy_loss(h, ts, targets, space) == pytest.approx(16.0)
+    assert core.greedy_loss(h, targets) == pytest.approx(16.0)
 
 
 def test_all_dims_Y_loss_equals_inertia(rng):
+    # the retired all_dims_Y objective ||V h - V c||^2, written out here: V
+    # is orthonormal, so it is the all_dims_H loss and the inertia
     h, res, ts = make_state(rng)
-    targets, space = core.greedy_targets(h, ts, res, "all_dims_Y")
-    assert core.greedy_loss(h, ts, targets, space) == pytest.approx(res.inertia, abs=1e-8)
+    d = (h - res.centroids[res.assignments]) @ ts.v.T
+    assert float(np.sum(d * d)) == pytest.approx(res.inertia, abs=1e-8)
+    targets = core.greedy_targets(h, ts, res, "all_dims_H")
+    assert core.greedy_loss(h, targets) == pytest.approx(res.inertia, abs=1e-8)
 
 
 def test_last_dim_Y_loss_is_last_coordinate_residual(rng):
     h, res, ts = make_state(rng)
-    targets, space = core.greedy_targets(h, ts, res, "last_dim_Y")
+    targets = core.greedy_targets(h, ts, res, "last_dim_Y")
     y = h @ ts.v.T
     m = res.centroids @ ts.v.T
     residual = float(np.sum((y[:, -1] - m[res.assignments, -1]) ** 2))
-    assert core.greedy_loss(h, ts, targets, space) == pytest.approx(residual, abs=1e-12)
-    # all other coordinates contribute exactly zero
-    assert np.array_equal(targets[:, :-1], y[:, :-1])
+    assert core.greedy_loss(h, targets) == pytest.approx(residual, abs=1e-12)
+    # the target moves h along the last eigenvector only: no component along
+    # the others, up to the rounding of h + s * v[-1]
+    off_axis = (targets - h) @ ts.v[:-1].T
+    assert np.max(np.abs(off_axis)) <= 1e-12 * np.max(np.abs(h))
 
 
 def test_all_dims_H_targets_are_centroids(rng):
     h, res, ts = make_state(rng)
-    targets, space = core.greedy_targets(h, ts, res, "all_dims_H")
-    assert space == "H"
+    targets = core.greedy_targets(h, ts, res, "all_dims_H")
     assert np.array_equal(targets, res.centroids[res.assignments])
 
 
 def test_random_dim_draw_is_seeded(rng):
     h, res, ts = make_state(rng)
-    t1, _ = core.greedy_targets(h, ts, res, "random_dim_Y", np.random.default_rng(5))
-    t2, _ = core.greedy_targets(h, ts, res, "random_dim_Y", np.random.default_rng(5))
+    t1 = core.greedy_targets(h, ts, res, "random_dim_Y", np.random.default_rng(5))
+    t2 = core.greedy_targets(h, ts, res, "random_dim_Y", np.random.default_rng(5))
     assert np.array_equal(t1, t2)
 
 
@@ -195,6 +199,57 @@ def test_greedy_targets_rejects_bad_strategy(rng):
     h, res, ts = make_state(rng)
     with pytest.raises(ConfigurationError):
         core.greedy_targets(h, ts, res, "nope", rng)
+
+
+def _y_space_rule(h, ts, res, strategy, rng):
+    """The earlier target rule, kept as the reference: a Y strategy projects
+    into y = V h, replaces coordinate ``dim`` with the centroid's, takes l4
+    in Y and pulls the targets back with ``@ v``."""
+    if strategy.endswith("_Y"):
+        points, cents = h @ ts.v.T, res.centroids @ ts.v.T
+    else:
+        points, cents = h, res.centroids
+    per_point_cent = cents[res.assignments]
+    if strategy == "all_dims_H":
+        targets = per_point_cent
+    else:
+        dim = h.shape[1] - 1 if strategy == "last_dim_Y" else int(rng.integers(h.shape[1]))
+        targets = points.copy()
+        targets[:, dim] = per_point_cent[:, dim]
+    diff = points - targets
+    l4 = float(np.sum(diff * diff))
+    return (targets @ ts.v if strategy.endswith("_Y") else targets), l4
+
+
+def _oracle_clusterings(case):
+    rng = np.random.default_rng(1100)
+    for _ in range(40):
+        e, k = int(rng.integers(1, 33)), int(rng.integers(1, 9))
+        n = k if case == "k_equals_n" else int(rng.integers(k, 60))
+        if case == "e_is_1":
+            e = 1
+        h = rng.normal(size=(n, e)) * rng.uniform(0.1, 10.0)
+        if case == "rank_deficient":
+            rank = int(rng.integers(0, e))  # rank 0: every point at the origin
+            h = h[:, :rank] @ rng.normal(size=(rank, e))
+        res = km.lloyd(h, k, km.kmeanspp_init(h, k, rng))
+        yield h, res, core.build_transform(km.within_class_scatter(h, res))
+
+
+@pytest.mark.parametrize("case", ["random", "rank_deficient", "e_is_1", "k_equals_n"])
+def test_greedy_targets_match_the_y_space_rule(case):
+    for h, res, ts in _oracle_clusterings(case):
+        scale = max(np.max(np.abs(h)), np.max(np.abs(res.centroids)))
+        for i, strategy in enumerate(core.STRATEGIES):
+            targets = core.greedy_targets(h, ts, res, strategy, np.random.default_rng(i))
+            l4 = core.greedy_loss(h, targets)
+            ref, ref_l4 = _y_space_rule(h, ts, res, strategy, np.random.default_rng(i))
+            if strategy.endswith("_H"):
+                assert np.array_equal(targets, ref)
+                assert l4 == ref_l4
+            else:
+                assert np.max(np.abs(targets - ref)) <= 1e-13 * scale
+                assert abs(l4 - ref_l4) <= max(1e-13 * ref_l4, 1e-12 * res.inertia)
 
 
 def test_representation_step_zero_loss_keeps_params(rng):
@@ -227,13 +282,13 @@ def test_y_space_gradient_finite_differences(seed):
     h = ae.encode(model, x)
     res = cluster(h, 2, seed=seed)
     ts = core.build_transform(km.within_class_scatter(h, res))
-    targets, _ = core.greedy_targets(h, ts, res, "last_dim_Y")
+    targets = core.greedy_targets(h, ts, res, "last_dim_Y")
 
-    def loss_fn():
-        d = ae.encode(model, x) @ ts.v.T - targets
+    def loss_fn():  # the greedy loss written in Y = V h
+        d = (ae.encode(model, x) - targets) @ ts.v.T
         return float(np.sum(d * d))
 
-    grads, loss = ae.backprop_embedding(model, x, targets @ ts.v)
+    grads, loss = ae.backprop_embedding(model, x, targets)
     fd = finite_difference_grads(
         loss_fn, model.encoder_params(), pattern_fn=lambda: relu_pattern(model, x, encoder_only=True)
     )
@@ -248,9 +303,9 @@ def test_representation_step_leaves_decoder_untouched(rng):
     h = ae.encode(model, x)
     res = cluster(h, 2)
     ts = core.build_transform(km.within_class_scatter(h, res))
-    targets, _ = core.greedy_targets(h, ts, res, "last_dim_Y")
+    targets = core.greedy_targets(h, ts, res, "last_dim_Y")
     for _ in range(5):
-        core.representation_step(model, x, targets @ ts.v, adam)
+        core.representation_step(model, x, targets, adam)
     for p, b in zip(model.dec_w + model.dec_b, dec_before):
         assert np.array_equal(p, b)
 
@@ -325,8 +380,8 @@ def test_run_dekm_eq3_identity_each_iteration():
         my = res.centroids @ ts.v.T
         inertia_y = float(np.sum((y - my[res.assignments]) ** 2))
         assert inertia_y == pytest.approx(res.inertia, abs=1e-8)
-        targets, _ = core.greedy_targets(h, ts, res, "last_dim_Y")
-        core.representation_step(model, ds.x, targets @ ts.v, adam)
+        targets = core.greedy_targets(h, ts, res, "last_dim_Y")
+        core.representation_step(model, ds.x, targets, adam)
 
 
 def test_run_dekm_decoder_frozen_and_deterministic():

@@ -6,7 +6,12 @@ encode+cluster block after the outer loop) and the per-command repeat loops
 in the CLI; a refactor of that control flow must reproduce them exactly.
 Runs that stop early were re-recorded when the loop began to return the
 clustering of the pass where the label-change rule fires, instead of
-encoding and clustering once more after it. The GEMM summation order
+encoding and clustering once more after it. Runs of the Y strategies were
+re-recorded when their targets began to be built in the embedding space
+(h moved along one eigenvector) instead of in y = V h and pulled back:
+record counts, assignments, ACC, NMI and changed fractions are unchanged,
+l4, inertia and weights move by rounding only, and the ablate digests lost
+the retired all_dims_Y column and history file. The GEMM summation order
 belongs to the BLAS kernel, so they hold for the BLAS build they were
 recorded with (OpenBLAS, x86-64).
 """
@@ -49,13 +54,13 @@ RUN_DEKM_CASES = {
     # changed fractions 0.1, 0.0625, 0.119: the budget runs out
     "whole_budget": (
         dict(max_outer_iters=4),
-        "2875db2f95bceb9b3db3612c13a32b791137c48e95c5df43a8c40f6f13549a24",
+        "1437839a2f7db8606e2c9889c15318cb64d48d923556435f00bd8fc633e64e8a",
     ),
     # stops at iteration 2 (0.0625 < 0.07); the final record repeats that
     # pass's clustering
     "early_stop": (
         dict(max_outer_iters=4, stop_fraction=0.07),
-        "4b9be9c85a77b1099583467e5064611c553bb3d605a51e6cf8077131218e4650",
+        "f1d5b7724b2d3105b4a2e30c04e1da75ad36ddbdcce7a428714a54a18512edf8",
     ),
     "zero_iters": (
         dict(max_outer_iters=0),
@@ -64,7 +69,7 @@ RUN_DEKM_CASES = {
     # stops early too (changed fraction 0.0 at iteration 2, ACC 0.681)
     "random_dim_Y": (
         dict(max_outer_iters=4, strategy="random_dim_Y"),
-        "e88596eb8818ef4a3d389bd6bd77cd7860218f8536d90bd100801673096da30d",
+        "cf01672b2719f95a09729a3463a4aa7bc9cc4c24a8ae2d5d5f00b56577fe9800",
     ),
     "all_dims_H": (
         dict(max_outer_iters=3, strategy="all_dims_H"),
@@ -72,7 +77,7 @@ RUN_DEKM_CASES = {
     ),
     "full_batch": (
         dict(max_outer_iters=4, batch_mode="full_batch", inner_steps=2),
-        "0b2e938acdba88a7f1810ec043b92d7dda3ebf39b9f249ff77c9c31101fd44ae",
+        "cc8b3dd621e3e9f0e71621c3701ce3e420ecfafcb40fd9bb7dd25c85d9c8ef6f",
     ),
 }
 
@@ -162,21 +167,21 @@ def test_cli_pretrain_is_pinned(cli_outputs):
 
 def test_cli_run_is_pinned(cli_outputs):
     assert _run_digest(cli_outputs / "run") == (
-        "c36553b926820636aab2f94b0ed8c86244d91dc845d85ecc9b00d5ec97129f9a"
+        "9413589fdddf6ab6371cc8a1665a6c88603d282ce52c6fb4cc5544ec14510c64"
     )
 
 
 def test_cli_run_from_checkpoint_is_pinned(cli_outputs):
     assert _run_digest(cli_outputs / "run_ck") == (
-        "f2174a212cc04d6ae8c3a3d6dc2c38684a873fa83f2c85e1d65b07d4a75a31fc"
+        "d2e34f364d235ceb12fb695830c08d27d7f30cdf8d88026d25104e520aea6417"
     )
 
 
 CLI_ABLATE_DIGESTS = {
     # last_dim_Y_full stops early in repeat 0 (ACC 0.505, not a fresh
     # k-means restart's 0.705)
-    "ablate": "abfffdfa6ce894a1b021288a0bb348a1ce3c732b8c5a6e50909b6f5da6002f4e",
-    "ablate_ragged": "e82b188b231547b0312c164aa6199116a364060fcd883c915dd36d65c8085b09",
+    "ablate": "c57d9380ea4e722d93917369befd439af59243fbc9e7e53711f6911f4297218f",
+    "ablate_ragged": "0193b6419f3ed08b3d9f0caa4ab229806d93aebda7fb5bd3bdad4e9bb180158d",
 }
 
 
