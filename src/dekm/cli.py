@@ -15,6 +15,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -250,11 +251,10 @@ def cmd_eval(labels_path, assignments_path, out_dir) -> int:
 
 
 def cmd_gen_synth(cfg: ExperimentConfig) -> int:
-    spec = dict(cfg.dataset)
-    spec.setdefault("type", "synthetic")
+    spec = {"type": "synthetic", **cfg.dataset}
     if spec["type"] != "synthetic":
         raise ConfigurationError("gen-synth requires a synthetic dataset spec")
-    cfg.dataset = spec
+    cfg = dataclasses.replace(cfg, dataset=spec)  # checks the spec as typed
     ds = _load_dataset(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,12 @@ from .errors import ConfigurationError, check_int, check_real
 
 # the file paths each file-backed dataset type requires
 _PATH_KEYS = {"csv": ("path",), "idx": ("images", "labels")}
+# every key each dataset type reads; any other key is a typo
+_DATASET_KEYS = {
+    "synthetic": {"type", "k", "per_cluster_n", "latent_dim", "ambient_dim", "separation", "seed"},
+    "csv": {"type", "path", "has_labels"},
+    "idx": {"type", "images", "labels"},
+}
 
 
 @dataclass
@@ -63,6 +69,11 @@ class ExperimentConfig:
             except ConfigurationError as exc:
                 raise ConfigurationError(f"dekm config: {exc}") from exc
         kind = self.dataset.get("type")
+        if not isinstance(kind, (str, type(None))):
+            raise ConfigurationError(f"dataset: type must be synthetic, csv or idx, got {kind!r}")
+        unknown = set(self.dataset) - _DATASET_KEYS.get(kind, set(self.dataset))
+        if unknown:
+            raise ConfigurationError(f"unknown dataset keys for type {kind}: {sorted(unknown)}")
         if kind == "synthetic":
             try:
                 data.check_synthetic(**self.synthetic_args())

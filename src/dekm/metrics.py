@@ -7,7 +7,6 @@ All entropies use natural logarithms.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError, DimensionError, NumericError
 
@@ -37,9 +36,8 @@ def _count_table(g: np.ndarray, c: np.ndarray):
     returns those labels and c's indices into them."""
     g_vals, gi = np.unique(g, return_inverse=True)
     c_vals, ci = np.unique(c, return_inverse=True)
-    table = np.zeros((len(g_vals), len(c_vals)), dtype=np.int64)
-    np.add.at(table, (gi, ci), 1)
-    return table, g_vals, c_vals, ci
+    cells = np.bincount(gi * len(c_vals) + ci, minlength=len(g_vals) * len(c_vals))
+    return cells.reshape(len(g_vals), len(c_vals)), g_vals, c_vals, ci
 
 
 def contingency(g: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -70,15 +68,80 @@ def nmi(g, c) -> float:
     return 2.0 * mi / (hg + hc)
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """The column matched to each row of ``cost`` (r <= c) in a matching of
+    minimal total cost.
+
+    Shortest augmenting paths (Jonker & Volgenant, Computing 1987; Crouse,
+    IEEE TAES 2016): row reduction matches each row to its first minimum
+    column while that column is free; each row left over runs one Dijkstra
+    over reduced costs, with deferred potential updates, and augments along
+    the path found.
+    """
+    r, c = cost.shape
+    u, v = cost.min(axis=1), np.zeros(c)
+    col4row, row4col = np.full(r, -1), np.full(c, -1)
+    first_min = cost.argmin(axis=1)
+    _, winners = np.unique(first_min, return_index=True)
+    col4row[winners] = first_min[winners]
+    row4col[first_min[winners]] = winners
+    for start in np.flatnonzero(col4row < 0):
+        # A scanned column's shortest distance is final: it leaves ``dist``
+        # (set to inf) and its reduced cost is kept at inf through ``v_open``.
+        dist, path, v_open = np.full(c, np.inf), np.empty(c, dtype=np.intp), v.copy()
+        free = row4col < 0
+        i, lowest, scanned, settled = start, 0.0, [], []
+        while True:
+            reduced = cost[i] - v_open
+            reduced += lowest - u[i]
+            closer = reduced < dist
+            np.copyto(dist, reduced, where=closer)
+            path[closer] = i
+            j = dist.argmin()
+            lowest = dist[j]
+            if not free[j]:
+                # A free column ends the search: on tables that are mostly
+                # zeros, taking the first tie instead walks nearly every column.
+                tied_free = (dist == lowest) & free
+                if tied_free.any():
+                    j = tied_free.argmax()
+            scanned.append(j)
+            settled.append(lowest)
+            if free[j]:
+                break
+            dist[j], v_open[j] = np.inf, -np.inf
+            i = row4col[j]
+        # deferred potential updates; the sink's own change is zero
+        scanned, gain = np.array(scanned), lowest - np.array(settled)
+        u[start] += lowest
+        u[row4col[scanned[:-1]]] += gain[:-1]
+        v[scanned] -= gain
+        while True:  # augment: flip the path's edges back to start
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
 def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimal-cost matching of min(r, c) rows to distinct columns. Returns
-    (rows, cols, total cost of the matched pairs)."""
+    (rows ascending, their columns, total cost of the matched pairs)."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise DimensionError(f"cost must be 2-D, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise NumericError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
+    r, c = cost.shape
+    if min(r, c) == 0:
+        rows = cols = np.zeros(0, dtype=np.intp)
+    elif r <= c:
+        rows, cols = np.arange(r), _assign(cost)
+    else:
+        row4col = _assign(cost.T)
+        cols = np.argsort(row4col)
+        rows = row4col[cols]
     return rows, cols, float(cost[rows, cols].sum())
 
 

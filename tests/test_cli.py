@@ -195,13 +195,13 @@ def test_gen_synth_writes_dataset(small_config):
         ("k", True),
         ("latent_dim", 0),
         ("seed", -2),
+        ("seperation", 5.0),  # not a synthetic key
     ],
 )
 @pytest.mark.parametrize("typed", [True, False])
 def test_gen_synth_rejects_bad_dataset_values(small_config, capsys, key, value, typed):
-    # typed: the spec says "type": "synthetic" and the config rejects it
-    # when built; untyped: gen-synth fills the type in and gen_synthetic
-    # rejects it
+    # typed: the spec says "type": "synthetic"; untyped: gen-synth fills the
+    # type in. Either way the config rejects the spec when built.
     cfg_path, tmp = small_config
     cfg = json.loads(cfg_path.read_text())
     cfg["dataset"][key] = value
@@ -445,6 +445,7 @@ BOUNDARY_CASES = [
     ("missing_eval_labels", 2, "nope.txt"),
     ("non_utf8_eval_labels", 1, "bad.csv"),
     ("non_utf8_config", 2, "bad.json"),
+    ("type_not_a_string", 2, "type"),
 ]
 
 
@@ -466,6 +467,7 @@ def test_bad_dataset_specs_and_unreadable_inputs_fail_at_the_boundary(
         "missing_idx": {"type": "idx", "images": str(tmp / "nope.idx"), "labels": str(good)},
         "csv_is_a_directory": {"type": "csv", "path": str(tmp / "a_dir")},
         "non_utf8_csv": {"type": "csv", "path": str(bad)},
+        "type_not_a_string": {"type": ["csv"], "path": str(good)},
     }
     if case in specs:
         cfg = json.loads(cfg_path.read_text())
@@ -482,4 +484,29 @@ def test_bad_dataset_specs_and_unreadable_inputs_fail_at_the_boundary(
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"type": "csv", "path": "data.csv", "has_label": True}, "has_label"),
+        ({"type": "synthetic", "k": 4, "seperation": 5.0}, "seperation"),
+        ({"type": "idx", "images": "data.csv", "label": "data.csv"}, "label"),
+    ],
+    ids=["csv", "synthetic", "idx"],
+)
+def test_unknown_dataset_keys_exit_2_naming_the_key(small_config, capsys, command, spec, key):
+    # a misspelt key would otherwise be ignored: has_label trains on the
+    # label column as a feature
+    cfg_path, tmp = small_config
+    (tmp / "data.csv").write_text("0.5,0.1,0\n0.25,0.2,1\n")
+    spec = {k: str(tmp / v) if v == "data.csv" else v for k, v in spec.items()}
+    cfg = json.loads(cfg_path.read_text())
+    cfg["dataset"] = spec
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
     assert not (tmp / "out").exists()

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import dekm
 from dekm import core, metrics
 from dekm.errors import ConfigurationError, DimensionError, NumericError
 
@@ -149,6 +154,45 @@ def test_rectangular_matching_keeps_acc_and_changed_fraction_bits(rng):
         assert 1 <= len(np.unique(g)) <= 8 and 1 <= len(np.unique(c)) <= 8
         assert metrics.acc(g, c) == _padded_acc(g, c)
         assert core.changed_fraction(g, c) == _padded_changed_fraction(g, c)
+
+
+def _assignment_costs(rng):
+    """Random float costs, small-integer costs heavy with ties, and negated
+    contingency-like tables that are 95% zeros, in both orientations and up
+    to 64 on a side; then the empty and 1x1 shapes."""
+    for _ in range(60):
+        shape = tuple(int(s) for s in rng.integers(1, 65, size=2))
+        yield rng.normal(size=shape)
+        yield rng.integers(0, 3, size=shape).astype(np.float64)
+        counts = rng.integers(1, 400, size=shape) * (rng.random(shape) < 0.05)
+        yield -counts.astype(np.float64)
+    for shape in [(0, 5), (5, 0), (0, 0), (1, 1)]:
+        yield rng.normal(size=shape)
+
+
+def test_hungarian_matches_scipy_linear_sum_assignment(rng):
+    for cost in _assignment_costs(rng):
+        rows, cols, total = metrics.hungarian(cost)
+        ref_rows, ref_cols = linear_sum_assignment(cost)
+        r, c = cost.shape
+        assert len(rows) == len(cols) == min(r, c)
+        assert np.all(np.diff(rows) > 0) and len(set(cols.tolist())) == len(cols)
+        if r <= c:  # every row is matched
+            assert np.array_equal(rows, np.arange(r))
+        else:  # every column is matched
+            assert np.array_equal(np.sort(cols), np.arange(c))
+        assert total == float(cost[rows, cols].sum())
+        assert total == pytest.approx(float(cost[ref_rows, ref_cols].sum()), abs=1e-9)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import dekm.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(dekm.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_hungarian_rejects_nonfinite():
