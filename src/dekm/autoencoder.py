@@ -17,14 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DivergenceError, FormatError
+from .errors import (
+    ConfigurationError, DimensionError, DivergenceError, FormatError, NumericError,
+    check_int, check_real,
+)
 
 CHECKPOINT_VERSION = 1
 
 
 def _param_groups(dims) -> list[list[tuple[int, ...]]]:
-    """Parameter shapes of enc_w, enc_b, dec_w and dec_b; ``all_params()``
-    order is their concatenation. The decoder mirrors ``dims``."""
+    """Parameter shapes of enc_w, enc_b, dec_w and dec_b, in the order they
+    are laid out in ``flat``. The decoder mirrors ``dims``."""
     mirror = dims[::-1]
     return [
         list(zip(dims[:-1], dims[1:])),
@@ -38,26 +41,14 @@ def _size(groups) -> int:
     return sum(math.prod(shape) for shapes in groups for shape in shapes)
 
 
-def _split(flat: np.ndarray, groups) -> list[list[np.ndarray]]:
-    """Reshaped views of consecutive slices of ``flat``, nested like
-    ``groups``."""
-    out, lo = [], 0
-    for shapes in groups:
-        views = []
-        for shape in shapes:
-            hi = lo + math.prod(shape)
-            views.append(flat[lo:hi].reshape(shape))
-            lo = hi
-        out.append(views)
-    return out
-
-
 @dataclass
 class AutoencoderModel:
-    """All parameters live in one C-contiguous float64 vector ``flat``, in
-    ``all_params()`` order. ``enc_w``/``enc_b``/``dec_w``/``dec_b`` are
-    reshaped views into it, and ``encoder_flat`` is the prefix holding the
-    encoder's parameters, so one Adam step walks a single array."""
+    """All parameters live in one C-contiguous float64 vector ``flat``:
+    encoder weights, encoder biases, decoder weights, decoder biases.
+    ``enc_w``/``enc_b``/``dec_w``/``dec_b`` are reshaped views into it, and
+    ``encoder_flat`` is the prefix holding the encoder's parameters, so one
+    Adam step walks a single array. A gradient is a model of the same
+    ``dims``: ``backprop_*`` write into its views."""
 
     dims: list[int]  # encoder widths, input .. embedding; decoder mirrors them
     flat: np.ndarray
@@ -75,7 +66,13 @@ class AutoencoderModel:
                 f"dims {self.dims} need a C-contiguous float64 vector of "
                 f"{_size(groups)} parameters, got {f.dtype} {f.shape}"
             )
-        self.enc_w, self.enc_b, self.dec_w, self.dec_b = _split(f, groups)
+        views, lo = [], 0  # reshaped views of consecutive slices, nested like groups
+        for shapes in groups:
+            views.append([])
+            for shape in shapes:
+                views[-1].append(f[lo : lo + math.prod(shape)].reshape(shape))
+                lo += math.prod(shape)
+        self.enc_w, self.enc_b, self.dec_w, self.dec_b = views
         self.encoder_flat = f[: _size(groups[:2])]
 
     @property
@@ -86,12 +83,6 @@ class AutoencoderModel:
     def embedding_dim(self) -> int:
         return self.dims[-1]
 
-    def encoder_params(self) -> list[np.ndarray]:
-        return self.enc_w + self.enc_b
-
-    def all_params(self) -> list[np.ndarray]:
-        return self.enc_w + self.enc_b + self.dec_w + self.dec_b
-
     def copy(self) -> "AutoencoderModel":
         return AutoencoderModel(list(self.dims), self.flat.copy())
 
@@ -100,8 +91,8 @@ def xavier_init(dims: list[int], seed: int) -> AutoencoderModel:
     """Build a mirrored autoencoder with Xavier-uniform weights, zero biases."""
     if len(dims) < 2:
         raise ConfigurationError(f"need at least input and embedding widths, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ConfigurationError(f"layer widths must be >= 1, got {dims}")
+    for i, d in enumerate(dims):
+        check_int(f"layer width {i}", d, 1)
     rng = np.random.default_rng(seed)
     m = AutoencoderModel(list(dims), np.zeros(_size(_param_groups(dims))))
     for w in m.enc_w + m.dec_w:
@@ -172,7 +163,7 @@ def _backward(ws, acts, delta, gw, gb):
     return delta
 
 
-def _check_input(m: AutoencoderModel, x: np.ndarray, dim: int, what: str) -> np.ndarray:
+def _check_input(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != dim:
         raise DimensionError(f"{what} must be n x {dim}, got shape {x.shape}")
@@ -180,12 +171,12 @@ def _check_input(m: AutoencoderModel, x: np.ndarray, dim: int, what: str) -> np.
 
 
 def encode(m: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    x = _check_input(m, x, m.input_dim, "input")
+    x = _check_input(x, m.input_dim, "input")
     return _output(m.enc_w, m.enc_b, x)
 
 
 def decode(m: AutoencoderModel, h: np.ndarray) -> np.ndarray:
-    h = _check_input(m, h, m.embedding_dim, "embedding")
+    h = _check_input(h, m.embedding_dim, "embedding")
     return _output(m.dec_w, m.dec_b, h)
 
 
@@ -194,49 +185,48 @@ def reconstruct(m: AutoencoderModel, x: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_loss(m: AutoencoderModel, x: np.ndarray) -> float:
-    x = _check_input(m, x, m.input_dim, "input")
+    x = _check_input(x, m.input_dim, "input")
     diff = reconstruct(m, x) - x
     return float(np.sum(diff * diff))
 
 
-def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray, out=None):
-    """Gradients of sum ||x - g(f(x))||^2 w.r.t. all parameters.
+def _check_grad(m: AutoencoderModel, grad: AutoencoderModel) -> None:
+    if grad.dims != m.dims:
+        raise DimensionError(f"gradient dims {grad.dims} != model dims {m.dims}")
 
-    Returns (grads, loss) with grads ordered like ``all_params()``: views of
-    ``out``, a vector laid out like ``m.flat`` (allocated when omitted).
-    """
-    x = _check_input(m, x, m.input_dim, "input")
-    out = np.empty_like(m.flat) if out is None else out
-    egw, egb, dgw, dgb = _split(out, _param_groups(m.dims))
+
+def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray, grad: AutoencoderModel) -> float:
+    """Gradient of sum ||x - g(f(x))||^2 w.r.t. all parameters, written into
+    ``grad`` (a model of the same dims); returns the loss."""
+    x = _check_input(x, m.input_dim, "input")
+    _check_grad(m, grad)
     enc_acts = _forward(m.enc_w, m.enc_b, x)
     dec_acts = _forward(m.dec_w, m.dec_b, enc_acts[-1])
     diff = dec_acts[-1] - x
     loss = float(np.sum(diff * diff))
-    dz0 = _backward(m.dec_w, dec_acts, 2.0 * diff, dgw, dgb)
-    _backward(m.enc_w, enc_acts, dz0 @ m.dec_w[0].T, egw, egb)
-    return egw + egb + dgw + dgb, loss
+    dz0 = _backward(m.dec_w, dec_acts, 2.0 * diff, grad.dec_w, grad.dec_b)
+    _backward(m.enc_w, enc_acts, dz0 @ m.dec_w[0].T, grad.enc_w, grad.enc_b)
+    return loss
 
 
-def backprop_embedding(m: AutoencoderModel, x: np.ndarray, targets: np.ndarray, out=None):
-    """Gradients of sum ||f(x) - targets||^2 w.r.t. encoder parameters only.
-
-    Returns (grads, loss) with grads ordered like ``encoder_params()``: views
-    of ``out``, a vector laid out like ``m.encoder_flat`` (allocated when
-    omitted).
-    """
-    x = _check_input(m, x, m.input_dim, "input")
-    targets = _check_input(m, targets, m.embedding_dim, "targets")
+def backprop_embedding(
+    m: AutoencoderModel, x: np.ndarray, targets: np.ndarray, grad: AutoencoderModel
+) -> float:
+    """Gradient of sum ||f(x) - targets||^2 w.r.t. the encoder's parameters,
+    written into ``grad.encoder_flat`` (``grad`` is a model of the same dims;
+    its decoder part is left as it was); returns the loss."""
+    x = _check_input(x, m.input_dim, "input")
+    targets = _check_input(targets, m.embedding_dim, "targets")
     if targets.shape[0] != x.shape[0]:
         raise DimensionError(
             f"targets rows {targets.shape[0]} != input rows {x.shape[0]}"
         )
-    out = np.empty_like(m.encoder_flat) if out is None else out
-    gw, gb = _split(out, _param_groups(m.dims)[:2])
+    _check_grad(m, grad)
     acts = _forward(m.enc_w, m.enc_b, x)
     diff = acts[-1] - targets
     loss = float(np.sum(diff * diff))
-    _backward(m.enc_w, acts, 2.0 * diff, gw, gb)
-    return gw + gb, loss
+    _backward(m.enc_w, acts, 2.0 * diff, grad.enc_w, grad.enc_b)
+    return loss
 
 
 @dataclass
@@ -330,14 +320,19 @@ def pretrain(
     """Mini-batch Adam on the reconstruction loss.
 
     Shuffles per epoch with a generator seeded by ``seed``. Returns the model
-    (trained in place) and the per-epoch summed losses.
+    (trained in place) and the per-epoch summed losses. Bad arguments and
+    non-finite ``x`` are rejected before the first batch.
     """
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    x = _check_input(m, x, m.input_dim, "input")
+    check_int("epochs", epochs, 0)
+    check_int("batch_size", batch_size, 1)
+    check_int("seed", seed, 0)
+    check_real("lr", lr, positive=True)
+    x = _check_input(x, m.input_dim, "input")
+    if not np.isfinite(x).all():
+        raise NumericError("input contains non-finite values")
     n = x.shape[0]
     rng = np.random.default_rng(seed)
-    grad = np.empty_like(m.flat)
+    grad = AutoencoderModel(m.dims, np.empty_like(m.flat))
     adam = AdamState.for_params([m.flat], lr=lr)
     epoch_losses = []
     for epoch in range(epochs):
@@ -345,11 +340,11 @@ def pretrain(
         total = 0.0
         for start in range(0, n, batch_size):
             batch = x[order[start : start + batch_size]]
-            _, loss = backprop_reconstruction(m, batch, out=grad)
+            loss = backprop_reconstruction(m, batch, grad)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             total += loss
-            adam_step([m.flat], [grad], adam)
+            adam_step([m.flat], [grad.flat], adam)
         epoch_losses.append(total)
     return m, epoch_losses
 

@@ -174,14 +174,15 @@ def representation_step(
     x_batch: np.ndarray,
     targets_batch: np.ndarray,
     adam: ae.AdamState,
+    grad: ae.AutoencoderModel,
 ) -> float:
     """One Adam step on the encoder minimizing ||f(x) - target||^2 against
-    embedding-space targets. The decoder is untouched."""
-    grad = np.empty_like(model.encoder_flat)
-    _, loss = ae.backprop_embedding(model, x_batch, targets_batch, out=grad)
+    embedding-space targets, with the gradient written into ``grad`` (a
+    model of the same dims). The decoder is untouched."""
+    loss = ae.backprop_embedding(model, x_batch, targets_batch, grad)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite representation loss")
-    ae.adam_step([model.encoder_flat], [grad], adam)
+    ae.adam_step([model.encoder_flat], [grad.encoder_flat], adam)
     return loss
 
 
@@ -210,13 +211,19 @@ def run_dekm(
     aligned label-change fraction drops below ``stop_fraction`` or the
     iteration budget runs out. The last record has ``l4=None`` and holds
     the returned clustering: after a stop, that of the stopping pass, which
-    is not encoded or clustered again.
+    is not encoded or clustered again. Non-finite ``x`` and ``labels`` that
+    are not one per row are rejected before the first pass.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < config.k:
         raise ConfigurationError(f"{x.shape[0]} samples for k={config.k}")
+    if not np.isfinite(x).all():
+        raise NumericError("input contains non-finite values")
+    if labels is not None and np.shape(labels) != (x.shape[0],):
+        raise DimensionError(f"labels must have shape ({x.shape[0]},), got {np.shape(labels)}")
     rng = np.random.default_rng(config.seed)
     adam = ae.AdamState.for_params([model.encoder_flat], lr=config.lr)
+    grad = ae.AutoencoderModel(model.dims, np.empty_like(model.flat))
     history = RunHistory()
     prev_assign = None
     n = x.shape[0]
@@ -257,11 +264,11 @@ def run_dekm(
 
         if config.batch_mode == "full_batch":
             for _ in range(config.inner_steps):
-                representation_step(model, x, targets, adam)
+                representation_step(model, x, targets, adam, grad)
         else:
             for _ in range(config.inner_steps):
                 order = rng.permutation(n)
                 for start in range(0, n, config.inner_batch_size):
                     idx = order[start : start + config.inner_batch_size]
-                    representation_step(model, x[idx], targets[idx], adam)
+                    representation_step(model, x[idx], targets[idx], adam, grad)
     return result, model, history

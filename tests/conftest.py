@@ -6,10 +6,24 @@ import itertools
 import numpy as np
 import pytest
 
+import dekm.autoencoder as ae
 from dekm.errors import ConvergenceError
 
 MAX_SWEEPS = 100
 OFFDIAG_TOL = 1e-10
+
+
+def param_views(model, encoder_only=False):
+    """The parameter (or gradient) views of ``model`` in the order they are
+    laid out in ``model.flat``; with ``encoder_only``, those of
+    ``model.encoder_flat``."""
+    views = model.enc_w + model.enc_b
+    return views if encoder_only else views + model.dec_w + model.dec_b
+
+
+def empty_gradient(model):
+    """A gradient for ``model``: a model of the same dims, uninitialised."""
+    return ae.AutoencoderModel(list(model.dims), np.empty_like(model.flat))
 
 
 def relu_pattern(model, x, encoder_only=False):

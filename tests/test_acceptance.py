@@ -19,9 +19,11 @@ from dekm.core import build_transform
 from conftest import (
     brute_force_acc,
     brute_force_kmeans,
+    empty_gradient,
     finite_difference_grads,
     jacobi_eig,
     max_gradient_rel_error,
+    param_views,
     relu_pattern,
 )
 
@@ -129,10 +131,12 @@ def test_criterion_6_gradient_checks():
         x = rng.normal(size=(int(rng.integers(2, 17)), dims[0]))
 
         if trial % 2 == 0:
-            grads, loss = ae.backprop_reconstruction(model, x)
+            grad = empty_gradient(model)
+            loss = ae.backprop_reconstruction(model, x, grad)
+            grads = param_views(grad)
             fd = finite_difference_grads(
                 lambda: ae.reconstruction_loss(model, x),
-                model.all_params(),
+                param_views(model),
                 pattern_fn=lambda: relu_pattern(model, x),
             )
         else:
@@ -146,10 +150,12 @@ def test_criterion_6_gradient_checks():
                 d = (ae.encode(model, x) - targets) @ ts.v.T
                 return float(np.sum(d * d))
 
-            grads, loss = ae.backprop_embedding(model, x, targets)
+            grad = empty_gradient(model)
+            loss = ae.backprop_embedding(model, x, targets, grad)
+            grads = param_views(grad, encoder_only=True)
             fd = finite_difference_grads(
                 loss_fn,
-                model.encoder_params(),
+                param_views(model, encoder_only=True),
                 pattern_fn=lambda: relu_pattern(model, x, encoder_only=True),
             )
         worst = max(worst, max_gradient_rel_error(grads, fd, loss))

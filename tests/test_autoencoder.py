@@ -11,9 +11,13 @@ from hypothesis.extra.numpy import arrays
 import dekm.autoencoder as ae
 from dekm import core, data
 from dekm.core import DekmConfig, run_dekm
-from dekm.errors import ConfigurationError, DimensionError, DivergenceError, FormatError
+from dekm.errors import (
+    ConfigurationError, DimensionError, DivergenceError, FormatError, NumericError,
+)
 
-from conftest import finite_difference_grads, max_gradient_rel_error, relu_pattern
+from conftest import (
+    empty_gradient, finite_difference_grads, max_gradient_rel_error, param_views, relu_pattern,
+)
 
 
 def test_xavier_bounds_and_zero_bias():
@@ -27,7 +31,7 @@ def test_xavier_bounds_and_zero_bias():
 def test_xavier_deterministic():
     m1 = ae.xavier_init([7, 5, 3], seed=42)
     m2 = ae.xavier_init([7, 5, 3], seed=42)
-    for a, b in zip(m1.all_params(), m2.all_params()):
+    for a, b in zip(param_views(m1), param_views(m2)):
         assert np.array_equal(a, b)
 
 
@@ -43,6 +47,17 @@ def test_xavier_rejects_bad_dims():
         ae.xavier_init([4], seed=0)
     with pytest.raises(ConfigurationError):
         ae.xavier_init([4, 0, 2], seed=0)
+
+
+@pytest.mark.parametrize("width", [2.5, True, "3", None])
+def test_xavier_rejects_non_integer_widths(width):
+    with pytest.raises(ConfigurationError, match="layer width 1"):
+        ae.xavier_init([6, width, 3], seed=0)
+
+
+def test_xavier_accepts_numpy_integer_widths():
+    m = ae.xavier_init([np.int64(6), 4, np.int32(3)], seed=0)
+    assert m.flat.size == ae.xavier_init([6, 4, 3], seed=0).flat.size
 
 
 def test_encode_zero_network():
@@ -75,7 +90,7 @@ def test_encode_shape_error():
 
 def test_reconstruction_loss_zero_network():
     m = ae.xavier_init([5, 3], seed=0)
-    for p in m.all_params():
+    for p in param_views(m):
         p[:] = 0.0
     # zero network reconstructs zero, loss = ||x||^2 = d for x = ones
     assert ae.reconstruction_loss(m, np.ones((1, 5))) == pytest.approx(5.0)
@@ -95,9 +110,10 @@ def test_backprop_zero_loss_point():
     m.enc_w[0][:] = np.eye(3)
     m.dec_w[0][:] = np.eye(3)
     x = np.random.default_rng(0).normal(size=(4, 3))
-    grads, loss = ae.backprop_reconstruction(m, x)
+    grad = empty_gradient(m)
+    loss = ae.backprop_reconstruction(m, x, grad)
     assert loss == pytest.approx(0.0, abs=1e-20)
-    for g in grads:
+    for g in param_views(grad):
         assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -106,10 +122,11 @@ def test_backprop_linear_closed_form(rng):
     m = ae.xavier_init([3, 2], seed=11)
     x = rng.normal(size=(5, 3))
     t = rng.normal(size=(5, 2))
-    grads, _ = ae.backprop_embedding(m, x, t)
+    grad = empty_gradient(m)
+    ae.backprop_embedding(m, x, t, grad)
     resid = x @ m.enc_w[0] + m.enc_b[0] - t
-    assert np.allclose(grads[0], 2.0 * x.T @ resid)
-    assert np.allclose(grads[1], 2.0 * resid.sum(axis=0))
+    assert np.allclose(grad.enc_w[0], 2.0 * x.T @ resid)
+    assert np.allclose(grad.enc_b[0], 2.0 * resid.sum(axis=0))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -118,10 +135,12 @@ def test_backprop_reconstruction_finite_differences(seed):
     dims = [int(rng.integers(2, 8)) for _ in range(rng.integers(2, 4))]
     m = ae.xavier_init(dims, seed=seed)
     x = rng.normal(size=(int(rng.integers(2, 16)), dims[0]))
-    grads, loss = ae.backprop_reconstruction(m, x)
+    grad = empty_gradient(m)
+    loss = ae.backprop_reconstruction(m, x, grad)
+    grads = param_views(grad)
     fd = finite_difference_grads(
         lambda: ae.reconstruction_loss(m, x),
-        m.all_params(),
+        param_views(m),
         pattern_fn=lambda: relu_pattern(m, x),
     )
     assert max_gradient_rel_error(grads, fd, loss) < 1e-4
@@ -139,16 +158,18 @@ def test_backprop_embedding_finite_differences(seed):
         d = ae.encode(m, x) - t
         return float(np.sum(d * d))
 
-    grads, loss = ae.backprop_embedding(m, x, t)
+    grad = empty_gradient(m)
+    loss = ae.backprop_embedding(m, x, t, grad)
+    grads = param_views(grad, encoder_only=True)
     fd = finite_difference_grads(
-        loss_fn, m.encoder_params(), pattern_fn=lambda: relu_pattern(m, x, encoder_only=True)
+        loss_fn, param_views(m, encoder_only=True), pattern_fn=lambda: relu_pattern(m, x, encoder_only=True)
     )
     assert max_gradient_rel_error(grads, fd, loss) < 1e-4
 
 
 def test_adam_zero_gradient_keeps_params():
     m = ae.xavier_init([3, 2], seed=0)
-    params = m.encoder_params()
+    params = param_views(m, encoder_only=True)
     before = [p.copy() for p in params]
     state = ae.AdamState.for_params(params)
     ae.adam_step(params, [np.zeros_like(p) for p in params], state)
@@ -185,10 +206,10 @@ def test_adam_matches_scalar_reference_trace():
 
 def test_pretrain_zero_epochs_is_identity(rng):
     m = ae.xavier_init([6, 4, 2], seed=3)
-    before = [p.copy() for p in m.all_params()]
+    before = [p.copy() for p in param_views(m)]
     m, losses = ae.pretrain(m, rng.normal(size=(10, 6)), epochs=0, seed=0)
     assert losses == []
-    for p, b in zip(m.all_params(), before):
+    for p, b in zip(param_views(m), before):
         assert np.array_equal(p, b)
 
 
@@ -213,9 +234,44 @@ def test_pretrain_deterministic(rng):
     for _ in range(2):
         m = ae.xavier_init([5, 3, 2], seed=1)
         m, _ = ae.pretrain(m, x, epochs=5, batch_size=8, seed=9)
-        runs.append([p.copy() for p in m.all_params()])
+        runs.append([p.copy() for p in param_views(m)])
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(epochs=-1),
+        dict(epochs=2.5),
+        dict(epochs=True),
+        dict(batch_size=0),
+        dict(batch_size=8.0),
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(lr=0.0),
+        dict(lr=-0.1),
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
+    ],
+)
+def test_pretrain_rejects_bad_arguments_before_the_first_batch(monkeypatch, kwargs):
+    calls = []
+    monkeypatch.setattr(ae, "backprop_reconstruction", lambda *a: calls.append(a))
+    m = ae.xavier_init([3, 2], seed=0)
+    before = m.flat.copy()
+    with pytest.raises(ConfigurationError):
+        ae.pretrain(m, np.ones((4, 3)), **{"epochs": 1, **kwargs})
+    assert calls == [] and np.array_equal(m.flat, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pretrain_rejects_non_finite_input(bad):
+    m = ae.xavier_init([3, 2], seed=0)
+    x = np.ones((4, 3))
+    x[2, 1] = bad
+    with pytest.raises(NumericError):
+        ae.pretrain(m, x, epochs=1, seed=0)
 
 
 def test_pretrain_divergence_error():
@@ -233,7 +289,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     loaded, meta = ae.load_checkpoint(path)
     assert meta == {"seed": 8}
     assert loaded.dims == m.dims
-    for a, b in zip(m.all_params(), loaded.all_params()):
+    for a, b in zip(param_views(m), param_views(loaded)):
         assert np.array_equal(a, b)
 
 
@@ -266,17 +322,18 @@ def test_checkpoint_version_check(tmp_path):
 
 def _assert_packed(m):
     # every parameter is a view at its own offset of one flat float64 vector,
-    # in all_params() order, and the encoder's parameters are its prefix
+    # in enc_w, enc_b, dec_w, dec_b order, and the encoder's parameters are
+    # its prefix
     assert m.flat.dtype == np.float64 and m.flat.ndim == 1 and m.flat.flags.c_contiguous
     base = m.flat.__array_interface__["data"][0]
     offset = 0
-    for p in m.all_params():
+    for p in param_views(m):
         assert p.flags.c_contiguous and np.shares_memory(p, m.flat)
         assert p.__array_interface__["data"][0] == base + 8 * offset
         offset += p.size
     assert offset == m.flat.size
     assert m.encoder_flat.__array_interface__["data"][0] == base
-    assert m.encoder_flat.size == sum(p.size for p in m.encoder_params())
+    assert m.encoder_flat.size == sum(p.size for p in param_views(m, encoder_only=True))
 
 
 def test_views_and_flat_vector_alias():
@@ -287,7 +344,7 @@ def test_views_and_flat_vector_alias():
     assert m.dec_b[-1][-1] == -3.0
     m.encoder_flat[5 * 4 + 4 * 3] = 2.0  # first encoder bias
     assert m.enc_b[0][0] == 2.0
-    assert m.encoder_flat.size == sum(p.size for p in m.encoder_params())
+    assert m.encoder_flat.size == sum(p.size for p in param_views(m, encoder_only=True))
 
 
 def test_copy_shares_no_memory():
@@ -315,6 +372,49 @@ def test_model_rejects_a_mis_sized_or_strided_vector():
         ae.AutoencoderModel([3, 2], np.zeros(2 * 17)[::2])
 
 
+@pytest.mark.parametrize("which", ["reconstruction", "embedding"])
+def test_backprop_writes_into_the_given_gradient(monkeypatch, rng, which):
+    m = ae.xavier_init([6, 5, 3], seed=2)
+    x = rng.normal(size=(9, 6))
+    t = rng.normal(size=(9, 3))
+    written = []
+    backward = ae._backward
+
+    def recording(ws, acts, delta, gw, gb):
+        written.extend(gw + gb)
+        return backward(ws, acts, delta, gw, gb)
+
+    monkeypatch.setattr(ae, "_backward", recording)
+    grad = empty_gradient(m)
+    grad.flat[:] = np.nan
+    if which == "reconstruction":
+        loss = ae.backprop_reconstruction(m, x, grad)
+        assert len(written) == len(param_views(grad)) and np.isfinite(grad.flat).all()
+    else:
+        loss = ae.backprop_embedding(m, x, t, grad)
+        assert len(written) == len(param_views(grad, encoder_only=True))
+        assert np.isfinite(grad.encoder_flat).all()
+        assert np.isnan(grad.flat[grad.encoder_flat.size :]).all()  # decoder left as it was
+    assert type(loss) is float and np.isfinite(loss)
+    assert all(np.shares_memory(g, grad.flat) for g in written)
+
+
+def test_backprop_rejects_a_gradient_of_other_dims(rng):
+    m = ae.xavier_init([6, 5, 3], seed=2)
+    x, t = rng.normal(size=(9, 6)), rng.normal(size=(9, 3))
+    for dims in ([6, 4, 3], [6, 5, 5, 3], [6, 3]):
+        other = ae.xavier_init(dims, seed=0)
+        before = other.flat.copy()
+        with pytest.raises(DimensionError, match="gradient dims"):
+            ae.backprop_reconstruction(m, x, other)
+        with pytest.raises(DimensionError, match="gradient dims"):
+            ae.backprop_embedding(m, x, t, other)
+        adam = ae.AdamState.for_params([m.encoder_flat])
+        with pytest.raises(DimensionError, match="gradient dims"):
+            core.representation_step(m, x, t, adam, other)
+        assert np.array_equal(other.flat, before) and adam.t == 0
+
+
 def test_pretrain_and_representation_step_pass_adam_one_array(monkeypatch, rng):
     calls = []
     real = ae.adam_step
@@ -330,7 +430,7 @@ def test_pretrain_and_representation_step_pass_adam_one_array(monkeypatch, rng):
     assert calls == [(1, 1)] * 6
     calls.clear()
     adam = ae.AdamState.for_params([m.encoder_flat])
-    core.representation_step(m, x, rng.normal(size=(20, 3)), adam)
+    core.representation_step(m, x, rng.normal(size=(20, 3)), adam, empty_gradient(m))
     assert calls == [(1, 1)]
 
 
@@ -426,15 +526,16 @@ def test_encode_and_backprop_match_textbook_formula_bit_for_bit(rng):
     dec = _textbook_forward(m.dec_w, m.dec_b, enc[-1])
     assert np.array_equal(ae.decode(m, enc[-1]), dec[-1])
 
-    grads, _ = ae.backprop_embedding(m, x, t)
+    grad = empty_gradient(m)
+    ae.backprop_embedding(m, x, t, grad)
     gw, gb, _ = _textbook_backward(m.enc_w, enc, 2.0 * (enc[-1] - t))
-    for got, want in zip(grads, gw + gb):
+    for got, want in zip(param_views(grad, encoder_only=True), gw + gb):
         assert np.array_equal(got, want)
 
-    grads, _ = ae.backprop_reconstruction(m, x)
+    ae.backprop_reconstruction(m, x, grad)
     dgw, dgb, dz0 = _textbook_backward(m.dec_w, dec, 2.0 * (dec[-1] - x))
     egw, egb, _ = _textbook_backward(m.enc_w, enc, dz0 @ m.dec_w[0].T)
-    for got, want in zip(grads, egw + egb + dgw + dgb):
+    for got, want in zip(param_views(grad), egw + egb + dgw + dgb):
         assert np.array_equal(got, want)
 
 
@@ -452,7 +553,7 @@ def _pretrain_and_cluster(monkeypatch):
     )
     m = ae.xavier_init([64, 600, 4], seed=5)
     m, losses = ae.pretrain(m, ds.x, epochs=3, batch_size=64, seed=2)
-    pretrained = [p.copy() for p in m.all_params()]
+    pretrained = [p.copy() for p in param_views(m)]
     # run_dekm starts its own Adam state; capture it through whichever
     # adam_step is installed (the chunked one or the textbook reference)
     states = []
@@ -468,7 +569,7 @@ def _pretrain_and_cluster(monkeypatch):
     monkeypatch.setattr(ae, "adam_step", step)
     adam = states[0]
     assert all(s is adam for s in states)
-    return pretrained, losses, m.encoder_params(), adam, result.assignments
+    return pretrained, losses, param_views(m, encoder_only=True), adam, result.assignments
 
 
 def test_pretrain_and_run_dekm_are_pinned(monkeypatch):

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 import dekm.autoencoder as ae
 from dekm import core, data, kmeans as km
 from dekm.config import ExperimentConfig, load_config
-from dekm.errors import ConfigurationError, DimensionError
+from dekm.errors import ConfigurationError, DimensionError, NumericError
 from dekm.core import TransformState
 
-from conftest import finite_difference_grads, max_gradient_rel_error, relu_pattern
+from conftest import (
+    empty_gradient, finite_difference_grads, max_gradient_rel_error, param_views, relu_pattern,
+)
 
 
 def cluster(h, k, seed=0):
@@ -257,10 +259,10 @@ def test_representation_step_zero_loss_keeps_params(rng):
     x = rng.normal(size=(10, 6))
     h = ae.encode(model, x)
     adam = ae.AdamState.for_params([model.encoder_flat])
-    before = [p.copy() for p in model.encoder_params()]
-    loss = core.representation_step(model, x, h.copy(), adam)
+    before = [p.copy() for p in param_views(model, encoder_only=True)]
+    loss = core.representation_step(model, x, h.copy(), adam, empty_gradient(model))
     assert loss == 0.0
-    for p, b in zip(model.encoder_params(), before):
+    for p, b in zip(param_views(model, encoder_only=True), before):
         assert np.array_equal(p, b)
 
 
@@ -269,9 +271,10 @@ def test_representation_step_linear_closed_form(rng):
     x = rng.normal(size=(5, 3))
     targets = rng.normal(size=(5, 2))
     ts = TransformState(v=np.eye(2), eigenvalues=np.zeros(2))
-    grads, _ = ae.backprop_embedding(model, x, targets @ ts.v)
+    grad = empty_gradient(model)
+    ae.backprop_embedding(model, x, targets @ ts.v, grad)
     resid = x @ model.enc_w[0] + model.enc_b[0] - targets
-    assert np.allclose(grads[0], 2.0 * x.T @ resid)
+    assert np.allclose(grad.enc_w[0], 2.0 * x.T @ resid)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -288,9 +291,11 @@ def test_y_space_gradient_finite_differences(seed):
         d = (ae.encode(model, x) - targets) @ ts.v.T
         return float(np.sum(d * d))
 
-    grads, loss = ae.backprop_embedding(model, x, targets)
+    grad = empty_gradient(model)
+    loss = ae.backprop_embedding(model, x, targets, grad)
+    grads = param_views(grad, encoder_only=True)
     fd = finite_difference_grads(
-        loss_fn, model.encoder_params(), pattern_fn=lambda: relu_pattern(model, x, encoder_only=True)
+        loss_fn, param_views(model, encoder_only=True), pattern_fn=lambda: relu_pattern(model, x, encoder_only=True)
     )
     assert max_gradient_rel_error(grads, fd, loss) < 1e-4
 
@@ -304,8 +309,9 @@ def test_representation_step_leaves_decoder_untouched(rng):
     res = cluster(h, 2)
     ts = core.build_transform(km.within_class_scatter(h, res))
     targets = core.greedy_targets(h, ts, res, "last_dim_Y")
+    grad = empty_gradient(model)
     for _ in range(5):
-        core.representation_step(model, x, targets, adam)
+        core.representation_step(model, x, targets, adam, grad)
     for p, b in zip(model.dec_w + model.dec_b, dec_before):
         assert np.array_equal(p, b)
 
@@ -346,10 +352,10 @@ def test_run_dekm_zero_iters_is_baseline():
     ds = synthetic_fixture()
     model = pretrained_model(ds, 0)
     cfg = core.DekmConfig(k=4, max_outer_iters=0, seed=0)
-    before = [p.copy() for p in model.all_params()]
+    before = [p.copy() for p in param_views(model)]
     result, model, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
     # no representation updates: parameters untouched, single final record
-    for p, b in zip(model.all_params(), before):
+    for p, b in zip(param_views(model), before):
         assert np.array_equal(p, b)
     assert len(history.records) == 1
     h = ae.encode(model, ds.x)
@@ -371,6 +377,7 @@ def test_run_dekm_eq3_identity_each_iteration():
     ds = synthetic_fixture()
     model = pretrained_model(ds, 2)
     adam = ae.AdamState.for_params([model.encoder_flat])
+    grad = empty_gradient(model)
     rng = np.random.default_rng(2)
     for _ in range(3):
         h = ae.encode(model, ds.x)
@@ -381,7 +388,7 @@ def test_run_dekm_eq3_identity_each_iteration():
         inertia_y = float(np.sum((y - my[res.assignments]) ** 2))
         assert inertia_y == pytest.approx(res.inertia, abs=1e-8)
         targets = core.greedy_targets(h, ts, res, "last_dim_Y")
-        core.representation_step(model, ds.x, targets, adam)
+        core.representation_step(model, ds.x, targets, adam, grad)
 
 
 def test_run_dekm_decoder_frozen_and_deterministic():
@@ -395,7 +402,7 @@ def test_run_dekm_decoder_frozen_and_deterministic():
         assert np.array_equal(p, b)
     assert h1.as_dicts() == h2.as_dicts() or _equal_ignoring_seconds(h1, h2)
     assert np.array_equal(res1.assignments, res2.assignments)
-    for a, b in zip(m1.all_params(), m2.all_params()):
+    for a, b in zip(param_views(m1), param_views(m2)):
         assert np.array_equal(a, b)
 
 
@@ -449,3 +456,61 @@ def test_run_dekm_rejects_too_few_samples():
     model = ae.xavier_init([3, 2], seed=0)
     with pytest.raises(ConfigurationError):
         core.run_dekm(model, np.zeros((1, 3)), core.DekmConfig(k=2))
+
+
+@pytest.mark.parametrize("batch_mode", core.BATCH_MODES)
+def test_run_dekm_builds_one_gradient_per_run(monkeypatch, batch_mode):
+    ds = synthetic_fixture()
+    model = pretrained_model(ds, 6)
+    grads = []
+    step = core.representation_step
+
+    def recording(model, x_batch, targets_batch, adam, grad):
+        grads.append(grad)
+        return step(model, x_batch, targets_batch, adam, grad)
+
+    monkeypatch.setattr(core, "representation_step", recording)
+    cfg = core.DekmConfig(k=4, max_outer_iters=3, batch_mode=batch_mode, seed=6)
+    core.run_dekm(model, ds.x, cfg)
+    assert len(grads) >= 2 and all(g is grads[0] for g in grads)
+    assert grads[0].dims == model.dims and not np.shares_memory(grads[0].flat, model.flat)
+
+
+def _counting_encodes(monkeypatch):
+    calls = []
+    encode = ae.encode
+    monkeypatch.setattr(ae, "encode", lambda *a: calls.append(a) or encode(*a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.zeros(59, dtype=int), np.zeros(61, dtype=int), np.zeros((60, 1), dtype=int), [0] * 59, 3],
+)
+def test_run_dekm_rejects_labels_not_one_per_row_before_encoding(monkeypatch, rng, labels):
+    calls = _counting_encodes(monkeypatch)
+    model = ae.xavier_init([5, 3], seed=0)
+    with pytest.raises(DimensionError, match="labels"):
+        core.run_dekm(model, rng.normal(size=(60, 5)), core.DekmConfig(k=3), labels=labels)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_dekm_rejects_non_finite_input_before_encoding(monkeypatch, rng, bad):
+    calls = _counting_encodes(monkeypatch)
+    model = ae.xavier_init([5, 3], seed=0)
+    x = rng.normal(size=(60, 5))
+    x[7, 2] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        core.run_dekm(model, x, core.DekmConfig(k=3), labels=np.zeros(60, dtype=int))
+    assert calls == []
+
+
+def test_run_dekm_accepts_a_label_list(rng):
+    model = ae.xavier_init([5, 3], seed=0)
+    x = rng.normal(size=(60, 5))
+    labels = [i % 3 for i in range(60)]
+    cfg = core.DekmConfig(k=3, max_outer_iters=1)
+    _, _, history = core.run_dekm(model.copy(), x, cfg, labels=labels)
+    _, _, ref = core.run_dekm(model.copy(), x, cfg, labels=np.array(labels))
+    assert [r.acc for r in history.records] == [r.acc for r in ref.records]

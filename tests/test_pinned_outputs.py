@@ -91,7 +91,7 @@ def test_run_dekm_is_pinned(pretrained, case):
     got = _sha256(
         _history_bytes(history),
         result.assignments.astype("<i8").tobytes(),
-        *(np.ascontiguousarray(p).tobytes() for p in model.encoder_params()),
+        model.encoder_flat.tobytes(),
     )
     assert got == digest
 
