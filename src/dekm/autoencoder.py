@@ -394,12 +394,14 @@ def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
 
     keys = ("enc_w", "enc_b", "dec_w", "dec_b")
     try:  # binascii.Error is a ValueError
-        dims = [int(d) for d in doc["dims"]]
+        dims = list(doc["dims"])
+        for i, d in enumerate(dims):
+            check_int(f"dims[{i}]", d, 1)
         params = [[unpack(e) for e in doc[key]] for key in keys]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
     shapes = [[a.shape for a in group] for group in params]
-    if len(dims) < 2 or min(dims) < 1 or shapes != _param_groups(dims):
+    if len(dims) < 2 or shapes != _param_groups(dims):
         raise FormatError(
             f"{path}: parameter shapes {dict(zip(keys, shapes))} do not fit dims {dims}"
         )

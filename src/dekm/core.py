@@ -16,7 +16,7 @@ V is orthonormal, so a full centroid target in y = V h would be the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -210,9 +210,9 @@ def run_dekm(
     epoch of Adam steps (or a single full-batch step). Stops when the
     aligned label-change fraction drops below ``stop_fraction`` or the
     iteration budget runs out. The last record has ``l4=None`` and holds
-    the returned clustering: after a stop, that of the stopping pass, which
-    is not encoded or clustered again. Non-finite ``x`` and ``labels`` that
-    are not one per row are rejected before the first pass.
+    the returned clustering; after a stop it copies the stopping pass's
+    record (next ``iter``, ``seconds=0.0``) and no further pass runs.
+    Non-finite ``x`` and ``labels`` not one per row are rejected up front.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < config.k:
@@ -229,37 +229,34 @@ def run_dekm(
     n = x.shape[0]
 
     for it in range(config.max_outer_iters + 1):
-        final = history.stopped_early or it == config.max_outer_iters
         t0 = time.perf_counter()
-        if not history.stopped_early:  # else the encoder and h are unchanged
-            h = ae.encode(model, x)
-            init = km.kmeanspp_init(h, config.k, rng)
-            result = km.lloyd(h, config.k, init, config.kmeans_max_iter, config.kmeans_tol)
+        h = ae.encode(model, x)
+        init = km.kmeanspp_init(h, config.k, rng)
+        result = km.lloyd(h, config.k, init, config.kmeans_max_iter, config.kmeans_tol)
         l4 = None
-        if not final:
+        if it < config.max_outer_iters:
             transform = build_transform(km.within_class_scatter(h, result))
             targets = greedy_targets(h, transform, result, config.strategy, rng)
             l4 = greedy_loss(h, targets)
 
         changed = None if prev_assign is None else changed_fraction(prev_assign, result.assignments)
-        history.records.append(
-            IterationRecord(
-                iter=it,
-                inertia=result.inertia,
-                l4=l4,
-                changed_fraction=changed,
-                acc=None if labels is None else metrics.acc(labels, result.assignments),
-                nmi=None if labels is None else metrics.nmi(labels, result.assignments),
-                seconds=time.perf_counter() - t0,
-            )
+        record = IterationRecord(
+            iter=it,
+            inertia=result.inertia,
+            l4=l4,
+            changed_fraction=changed,
+            acc=None if labels is None else metrics.acc(labels, result.assignments),
+            nmi=None if labels is None else metrics.nmi(labels, result.assignments),
+            seconds=time.perf_counter() - t0,
         )
-        if final:
-            history.embedding = h
+        history.records.append(record)
+        if it == config.max_outer_iters:
             break
         if changed is not None and changed < config.stop_fraction:
             # the final record repeats this clustering with l4=None
             history.stopped_early = True
-            continue
+            history.records.append(replace(record, iter=it + 1, l4=None, seconds=0.0))
+            break
         prev_assign = result.assignments
 
         if config.batch_mode == "full_batch":
@@ -271,4 +268,5 @@ def run_dekm(
                 for start in range(0, n, config.inner_batch_size):
                     idx = order[start : start + config.inner_batch_size]
                     representation_step(model, x[idx], targets[idx], adam, grad)
+    history.embedding = h
     return result, model, history

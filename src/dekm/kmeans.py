@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, NumericError, check_int
 
 
 @dataclass
@@ -43,12 +43,13 @@ def _sq_dists(h: np.ndarray, centroids: np.ndarray, h_norms: np.ndarray) -> np.n
 def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
     """D^2-weighted seeding: first centroid uniform, each next proportional
     to squared distance from the nearest chosen one. ``seed`` may be an int
-    or a numpy Generator."""
+    or a numpy Generator, which ``default_rng`` returns unaltered."""
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[0]
-    if k < 1 or k > n:
+    check_int("k", k, 1)
+    if k > n:
         raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     h_norms = _row_norms(h)
     chosen = np.empty(k, dtype=int)
@@ -119,17 +120,18 @@ def lloyd(
 ) -> ClusterResult:
     """Alternate nearest-centroid assignment and mean updates until the
     assignments stabilize, the relative inertia improvement drops below
-    ``tol``, or ``max_iter`` is hit."""
+    ``tol``, or ``max_iter`` is hit. Non-finite ``h`` is a NumericError."""
     h = np.asarray(h, dtype=np.float64)
     if h.size == 0:
         raise ConfigurationError("empty input")
+    if not np.isfinite(h).all():
+        raise NumericError("embedding contains non-finite values")
     init_centroids = np.asarray(init_centroids, dtype=np.float64)
     if init_centroids.shape != (k, h.shape[1]):
         raise DimensionError(
             f"init centroids shape {init_centroids.shape} != ({k}, {h.shape[1]})"
         )
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
+    check_int("max_iter", max_iter, 1)
 
     h_norms = _row_norms(h)
     centroids = init_centroids.copy()

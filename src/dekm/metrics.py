@@ -17,8 +17,11 @@ def _as_labels(v) -> np.ndarray:
         raise DimensionError(f"label vector must be 1-D, got shape {a.shape}")
     if a.dtype.kind == "f":
         # |a| < 2**63 also rejects nan and inf, and keeps the int64 cast exact
-        if not (np.all(np.abs(a) < 2.0**63) and np.array_equal(a, np.trunc(a))):
-            raise ConfigurationError("labels must be 64-bit integers")
+        integral = np.all(np.abs(a) < 2.0**63) and np.array_equal(a, np.trunc(a))
+    else:  # strings, objects and complex numbers are not labels
+        integral = a.dtype.kind in "biu"
+    if not integral:
+        raise ConfigurationError("labels must be 64-bit integers")
     return a.astype(int)
 
 

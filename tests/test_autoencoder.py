@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -317,6 +319,22 @@ def test_checkpoint_version_check(tmp_path):
     path = tmp_path / "ckpt.json"
     path.write_text('{"version": 999}')
     with pytest.raises(FormatError):
+        ae.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "dims, bad",
+    [([5, 4, 3], 4.7), ([5, 4, 3], "4"), ([5, 1, 3], True), ([5, 4, 3], 0)],
+    ids=["float", "string", "bool", "zero"],
+)
+def test_checkpoint_dims_must_be_positive_integers(tmp_path, dims, bad):
+    # int() would read each edited entry as the width the arrays were saved with
+    path = tmp_path / "ckpt.json"
+    ae.save_checkpoint(path, ae.xavier_init(dims, seed=0))
+    doc = json.loads(path.read_text())
+    doc["dims"][1] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         ae.load_checkpoint(path)
 
 

@@ -286,13 +286,15 @@ def _break_checkpoint(path, case):
     elif case == "non_finite":
         nan = np.full(12, np.nan, dtype="<f8")
         doc["enc_b"][0] = {"shape": [12], "data": base64.b64encode(nan.tobytes()).decode()}
+    elif case == "fractional_dims":
+        doc["dims"][1] += 0.5  # int() would truncate it back to the saved width
     path.write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
     "case, code",
     [("missing", 2), ("not_json", 1), ("missing_key", 1), ("corrupt_base64", 1),
-     ("shape_mismatch", 1), ("non_finite", 1)],
+     ("shape_mismatch", 1), ("non_finite", 1), ("fractional_dims", 1)],
 )
 def test_bad_checkpoint_fails_at_the_boundary(small_config, capsys, case, code):
     cfg_path, tmp = small_config

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dekm.autoencoder as ae
-from dekm import core, data, kmeans as km
+from dekm import core, data, kmeans as km, metrics
 from dekm.config import ExperimentConfig, load_config
 from dekm.errors import ConfigurationError, DimensionError, NumericError
 from dekm.core import TransformState
@@ -442,6 +443,46 @@ def test_run_dekm_returns_the_pass_that_stopped(monkeypatch):
     for name in ("inertia", "changed_fraction", "acc", "nmi"):
         assert getattr(final, name) == getattr(stop, name)
     assert final.l4 is None
+
+
+def test_run_dekm_scores_each_clustering_once(monkeypatch):
+    ds = synthetic_fixture()
+    model = pretrained_model(ds, 4)
+    calls = []
+    for module, name in ((metrics, "acc"), (metrics, "nmi"), (core, "changed_fraction")):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    cfg = core.DekmConfig(k=4, max_outer_iters=50, stop_fraction=0.9, seed=4)
+    _, _, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
+    *_, stop, final = history.records
+    assert history.stopped_early and stop.iter == 1
+    # s + 1 clusterings for a stop at pass s, each scored once; no pass re-scores
+    assert calls.count("acc") == calls.count("nmi") == stop.iter + 1
+    assert calls.count("changed_fraction") == stop.iter
+    assert final == dataclasses.replace(stop, iter=stop.iter + 1, l4=None, seconds=0.0)
+
+
+@pytest.mark.parametrize(
+    "cfg, stops",
+    [
+        (core.DekmConfig(k=4, max_outer_iters=50, stop_fraction=0.9, seed=4), True),
+        (core.DekmConfig(k=4, max_outer_iters=3, strategy="all_dims_H", seed=3), False),
+    ],
+    ids=["stops", "spends_the_budget"],
+)
+def test_run_dekm_records_one_more_pass_than_encoder_updates(monkeypatch, cfg, stops):
+    # the layout the benchmark counts encoder updates from
+    ds = synthetic_fixture()
+    model = pretrained_model(ds, 4)
+    steps = []
+    step = core.representation_step
+    monkeypatch.setattr(core, "representation_step", lambda *a: steps.append(1) or step(*a))
+    _, _, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
+    assert history.stopped_early == stops
+    batches_per_pass = cfg.inner_steps * -(-len(ds.x) // cfg.inner_batch_size)
+    assert len(steps) % batches_per_pass == 0
+    updates = len(steps) // batches_per_pass
+    assert updates == len(history.records) - 1 - history.stopped_early
 
 
 def test_run_dekm_full_batch_mode_runs():

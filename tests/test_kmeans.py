@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dekm import data, kmeans as km
-from dekm.errors import ConfigurationError, DimensionError
+from dekm.errors import ConfigurationError, DimensionError, NumericError
 from dekm.core import build_transform
 
 from conftest import brute_force_kmeans
@@ -59,6 +59,27 @@ def test_lloyd_two_pairs_fixture():
     assert sorted(res.centroids.ravel()) == [0.5, 9.5]
     assert res.assignments[0] == res.assignments[1]
     assert res.assignments[2] == res.assignments[3]
+
+
+@pytest.mark.parametrize("k", [3.5, "3", True])
+def test_kmeanspp_rejects_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ConfigurationError, match="k must be an integer"):
+        km.kmeanspp_init(np.arange(10.0).reshape(5, 2), k, 0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, "2", True, 0])
+def test_lloyd_rejects_a_max_iter_that_is_not_a_positive_integer(max_iter):
+    h = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(ConfigurationError, match="max_iter must be an integer"):
+        km.lloyd(h, 2, h[:2], max_iter=max_iter)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lloyd_rejects_a_non_finite_embedding(bad):
+    h = np.arange(12.0).reshape(6, 2)
+    h[3, 1] = bad
+    with pytest.raises(NumericError):
+        km.lloyd(h, 2, h[:2])
 
 
 def test_lloyd_empty_input():

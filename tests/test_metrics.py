@@ -253,3 +253,9 @@ def test_non_integral_labels_are_rejected():
             metrics.nmi([0.0, bad], [0, 1])
     # integral floats are labels
     assert metrics.acc([0.0, 1.0, 1.0], [1.0, 0.0, 0.0]) == 1.0
+    # strings (numeric ones too), objects and complex numbers are not labels
+    for bad in (["a", "b", "a"], ["1", "0", "1"], [None, 1, 2], [1 + 0j, 0j, 1 + 1j]):
+        with pytest.raises(ConfigurationError, match="integers"):
+            metrics.acc(bad, [0, 1, 0])
+        with pytest.raises(ConfigurationError, match="integers"):
+            metrics.nmi([0, 1, 0], bad)
