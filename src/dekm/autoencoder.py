@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, DimensionError, DivergenceError, FormatError, NumericError,
-    check_int, check_real,
+    check_int, check_matrix, check_real,
 )
 
 CHECKPOINT_VERSION = 1
@@ -93,6 +93,7 @@ def xavier_init(dims: list[int], seed: int) -> AutoencoderModel:
         raise ConfigurationError(f"need at least input and embedding widths, got {dims}")
     for i, d in enumerate(dims):
         check_int(f"layer width {i}", d, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     m = AutoencoderModel(list(dims), np.zeros(_size(_param_groups(dims))))
     for w in m.enc_w + m.dec_w:
@@ -163,20 +164,13 @@ def _backward(ws, acts, delta, gw, gb):
     return delta
 
 
-def _check_input(x: np.ndarray, dim: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise DimensionError(f"{what} must be n x {dim}, got shape {x.shape}")
-    return x
-
-
 def encode(m: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    x = _check_input(x, m.input_dim, "input")
+    x = check_matrix("input", x, cols=m.input_dim)
     return _output(m.enc_w, m.enc_b, x)
 
 
 def decode(m: AutoencoderModel, h: np.ndarray) -> np.ndarray:
-    h = _check_input(h, m.embedding_dim, "embedding")
+    h = check_matrix("embedding", h, cols=m.embedding_dim)
     return _output(m.dec_w, m.dec_b, h)
 
 
@@ -185,7 +179,7 @@ def reconstruct(m: AutoencoderModel, x: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_loss(m: AutoencoderModel, x: np.ndarray) -> float:
-    x = _check_input(x, m.input_dim, "input")
+    x = check_matrix("input", x, cols=m.input_dim)
     diff = reconstruct(m, x) - x
     return float(np.sum(diff * diff))
 
@@ -198,7 +192,7 @@ def _check_grad(m: AutoencoderModel, grad: AutoencoderModel) -> None:
 def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray, grad: AutoencoderModel) -> float:
     """Gradient of sum ||x - g(f(x))||^2 w.r.t. all parameters, written into
     ``grad`` (a model of the same dims); returns the loss."""
-    x = _check_input(x, m.input_dim, "input")
+    x = check_matrix("input", x, cols=m.input_dim)
     _check_grad(m, grad)
     enc_acts = _forward(m.enc_w, m.enc_b, x)
     dec_acts = _forward(m.dec_w, m.dec_b, enc_acts[-1])
@@ -215,12 +209,8 @@ def backprop_embedding(
     """Gradient of sum ||f(x) - targets||^2 w.r.t. the encoder's parameters,
     written into ``grad.encoder_flat`` (``grad`` is a model of the same dims;
     its decoder part is left as it was); returns the loss."""
-    x = _check_input(x, m.input_dim, "input")
-    targets = _check_input(targets, m.embedding_dim, "targets")
-    if targets.shape[0] != x.shape[0]:
-        raise DimensionError(
-            f"targets rows {targets.shape[0]} != input rows {x.shape[0]}"
-        )
+    x = check_matrix("input", x, cols=m.input_dim)
+    targets = check_matrix("targets", targets, x.shape[0], m.embedding_dim)
     _check_grad(m, grad)
     acts = _forward(m.enc_w, m.enc_b, x)
     diff = acts[-1] - targets
@@ -327,7 +317,7 @@ def pretrain(
     check_int("batch_size", batch_size, 1)
     check_int("seed", seed, 0)
     check_real("lr", lr, positive=True)
-    x = _check_input(x, m.input_dim, "input")
+    x = check_matrix("input", x, cols=m.input_dim)
     if not np.isfinite(x).all():
         raise NumericError("input contains non-finite values")
     n = x.shape[0]

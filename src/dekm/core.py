@@ -25,7 +25,7 @@ from . import kmeans as km
 from . import metrics
 from .errors import (
     ConfigurationError, ConvergenceError, DimensionError, DivergenceError, NumericError,
-    check_int, check_real,
+    check_int, check_matrix, check_real,
 )
 
 STRATEGIES = ("last_dim_Y", "random_dim_Y", "random_dim_H", "all_dims_H")
@@ -141,11 +141,9 @@ def greedy_targets(
     h + ((c - h) . u) u, which replaces coordinate ``dim`` of y = V h since V
     is orthonormal. Random-dimension strategies draw ``dim`` once, from
     ``rng``."""
-    h = np.asarray(h, dtype=np.float64)
+    h = check_matrix("h", h, len(r.assignments), r.centroids.shape[1])
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
-    if len(r.assignments) != h.shape[0]:
-        raise DimensionError("cluster result inconsistent with embeddings")
     per_point_cent = r.centroids[r.assignments]
     if strategy == "all_dims_H":
         return per_point_cent
@@ -165,7 +163,8 @@ def greedy_targets(
 
 def greedy_loss(h: np.ndarray, targets: np.ndarray) -> float:
     """Current value of the greedy objective, sum ||h - target||^2."""
-    diff = h - targets
+    h = check_matrix("h", h)
+    diff = h - check_matrix("targets", targets, *h.shape)
     return float(np.sum(diff * diff))
 
 
@@ -190,10 +189,7 @@ def changed_fraction(prev_assignments, assignments) -> float:
     """Fraction of samples whose cluster changed, after Hungarian alignment
     so a pure relabeling counts as zero change."""
     prev = np.asarray(prev_assignments)
-    cur = np.asarray(assignments)
-    if len(prev) != len(cur):
-        raise DimensionError(f"assignment lengths differ: {len(prev)} vs {len(cur)}")
-    aligned = metrics.align_labels(prev, cur)
+    aligned = metrics.align_labels(prev, assignments)
     return float(np.mean(aligned != prev))
 
 
@@ -214,7 +210,7 @@ def run_dekm(
     record (next ``iter``, ``seconds=0.0``) and no further pass runs.
     Non-finite ``x`` and ``labels`` not one per row are rejected up front.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_matrix("x", x, cols=model.input_dim)
     if x.shape[0] < config.k:
         raise ConfigurationError(f"{x.shape[0]} samples for k={config.k}")
     if not np.isfinite(x).all():

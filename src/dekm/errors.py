@@ -4,6 +4,8 @@ raise them."""
 import math
 import numbers
 
+import numpy as np
+
 
 class DekmError(Exception):
     """Base class for all errors raised by this package."""
@@ -52,3 +54,15 @@ def check_real(name: str, value, positive: bool) -> None:
     if not ok:
         bound = "> 0" if positive else ">= 0"
         raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def check_matrix(name: str, a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Return ``a`` as a float64 array (``a`` itself if it is one); raise
+    ``DimensionError`` unless it is 2-D with ``rows`` rows and ``cols``
+    columns, where None allows any count."""
+    a = np.asarray(a, dtype=np.float64)
+    if (a.ndim != 2 or rows is not None and a.shape[0] != rows
+            or cols is not None and a.shape[1] != cols):
+        want = f"({'n' if rows is None else rows}, {'d' if cols is None else cols})"
+        raise DimensionError(f"{name} must have shape {want}, got {a.shape}")
+    return a

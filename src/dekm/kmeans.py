@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, NumericError, check_int
+from .errors import ConfigurationError, NumericError, check_int, check_matrix, check_real
 
 
 @dataclass
@@ -40,15 +40,29 @@ def _sq_dists(h: np.ndarray, centroids: np.ndarray, h_norms: np.ndarray) -> np.n
     return np.maximum(d, 0.0, out=d)
 
 
+def _check_points(h, k) -> np.ndarray:
+    """``h`` as a non-empty finite float64 matrix of at least ``k`` >= 1
+    rows."""
+    h = check_matrix("h", h)
+    if h.size == 0:
+        raise ConfigurationError("empty input")
+    check_int("k", k, 1)
+    if k > h.shape[0]:
+        raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={h.shape[0]}")
+    if not np.isfinite(h).all():
+        raise NumericError("embedding contains non-finite values")
+    return h
+
+
 def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
     """D^2-weighted seeding: first centroid uniform, each next proportional
     to squared distance from the nearest chosen one. ``seed`` may be an int
-    or a numpy Generator, which ``default_rng`` returns unaltered."""
-    h = np.asarray(h, dtype=np.float64)
+    >= 0 or a numpy Generator, which ``default_rng`` returns unaltered.
+    Non-finite ``h`` is a NumericError."""
+    h = _check_points(h, k)
+    if not isinstance(seed, np.random.Generator):
+        check_int("seed", seed, 0)
     n = h.shape[0]
-    check_int("k", k, 1)
-    if k > n:
-        raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
 
     h_norms = _row_norms(h)
@@ -119,39 +133,26 @@ def lloyd(
     tol: float = 1e-6,
 ) -> ClusterResult:
     """Alternate nearest-centroid assignment and mean updates until the
-    assignments stabilize, the relative inertia improvement drops below
-    ``tol``, or ``max_iter`` is hit. Non-finite ``h`` is a NumericError."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.size == 0:
-        raise ConfigurationError("empty input")
-    if not np.isfinite(h).all():
-        raise NumericError("embedding contains non-finite values")
-    init_centroids = np.asarray(init_centroids, dtype=np.float64)
-    if init_centroids.shape != (k, h.shape[1]):
-        raise DimensionError(
-            f"init centroids shape {init_centroids.shape} != ({k}, {h.shape[1]})"
-        )
+    relative inertia improvement is at most ``tol`` (>= 0) or ``max_iter``
+    is hit. Assignments that repeat give bit-identical means and inertia,
+    so they always stop it. Non-finite ``h`` is a NumericError."""
+    h = _check_points(h, k)
+    init_centroids = check_matrix("init_centroids", init_centroids, k, h.shape[1])
     check_int("max_iter", max_iter, 1)
+    check_real("tol", tol, positive=False)
 
     h_norms = _row_norms(h)
     centroids = init_centroids.copy()
-    assignments = None
     trace: list[float] = []
     prev_inertia = np.inf
-    iterations = 0
     for _ in range(max_iter):
         # argmin takes the lowest index on ties
-        new_assign = np.argmin(_sq_dists(h, centroids, h_norms), axis=1)
-        counts = np.bincount(new_assign, minlength=k)
-        _repair_empty(h, new_assign, centroids, counts)
-        centroids = _means(h, new_assign, counts, centroids)
-        inertia = _inertia(h, centroids, new_assign)
-        iterations += 1
+        assignments = np.argmin(_sq_dists(h, centroids, h_norms), axis=1)
+        counts = np.bincount(assignments, minlength=k)
+        _repair_empty(h, assignments, centroids, counts)
+        centroids = _means(h, assignments, counts, centroids)
+        inertia = _inertia(h, centroids, assignments)
         trace.append(inertia)
-        stable = assignments is not None and np.array_equal(new_assign, assignments)
-        assignments = new_assign
-        if stable:
-            break
         if np.isfinite(prev_inertia) and prev_inertia - inertia <= tol * max(prev_inertia, 1e-300):
             break
         prev_inertia = inertia
@@ -159,17 +160,13 @@ def lloyd(
         assignments=assignments,
         centroids=centroids,
         inertia=trace[-1],
-        iterations_run=iterations,
+        iterations_run=len(trace),
         inertia_trace=trace,
     )
 
 
 def within_class_scatter(h: np.ndarray, r: ClusterResult) -> np.ndarray:
     """S_w = sum over clusters of (h - mu)(h - mu)^T; trace equals inertia."""
-    h = np.asarray(h, dtype=np.float64)
-    if len(r.assignments) != h.shape[0]:
-        raise DimensionError(
-            f"{len(r.assignments)} assignments for {h.shape[0]} samples"
-        )
+    h = check_matrix("h", h, len(r.assignments), r.centroids.shape[1])
     centered = h - r.centroids[r.assignments]
     return centered.T @ centered

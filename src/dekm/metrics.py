@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, NumericError
+from .errors import ConfigurationError, DimensionError, NumericError, check_int, check_matrix
 
 
 def _as_labels(v) -> np.ndarray:
@@ -131,9 +131,7 @@ def _assign(cost: np.ndarray) -> np.ndarray:
 def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimal-cost matching of min(r, c) rows to distinct columns. Returns
     (rows ascending, their columns, total cost of the matched pairs)."""
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise DimensionError(f"cost must be 2-D, got shape {cost.shape}")
+    cost = check_matrix("cost", cost)
     if not np.all(np.isfinite(cost)):
         raise NumericError("cost matrix contains non-finite entries")
     r, c = cost.shape
@@ -181,13 +179,12 @@ def gaussian_entropy(variances) -> float:
     """Differential entropy of an axis-aligned Gaussian,
     (1/2) ln(2 pi e * prod of variances)."""
     v = np.asarray(variances, dtype=np.float64)
-    if v.size == 0 or np.any(v <= 0):
-        raise ConfigurationError(f"variances must be positive, got {variances}")
+    if v.size == 0 or not (np.isfinite(v).all() and (v > 0).all()):
+        raise ConfigurationError(f"variances must be finite and positive, got {variances}")
     return float(0.5 * np.log(2.0 * np.pi * np.e * np.prod(v)))
 
 
 def uniform_entropy(n: int) -> float:
     """Entropy of a uniform distribution over n outcomes, ln(n)."""
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
+    check_int("n", n, 1)
     return float(np.log(n))

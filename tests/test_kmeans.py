@@ -313,3 +313,12 @@ def test_transform_invariance(rng):
         my = res.centroids @ v.T
         inertia_y = float(np.sum((y - my[res.assignments]) ** 2))
         assert inertia_y == pytest.approx(res.inertia, abs=1e-8)
+
+
+@pytest.mark.parametrize("tol", [-1e-6, float("nan"), float("inf")])
+def test_lloyd_rejects_a_tol_that_is_negative_or_not_finite(rng, tol):
+    # the stop rule is what ends a run whose assignments repeat, so it must
+    # be able to fire
+    h = rng.normal(size=(10, 2))
+    with pytest.raises(ConfigurationError):
+        km.lloyd(h, 2, h[:2], tol=tol)
