@@ -184,6 +184,15 @@ def reconstruction_loss(m: AutoencoderModel, x: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
+def _squared_error(diff: np.ndarray) -> float:
+    """sum(diff**2), the training loss of both ``backprop_*``; a non-finite
+    one is a DivergenceError before any gradient or update is made from it."""
+    loss = float(np.sum(diff * diff))
+    if not math.isfinite(loss):
+        raise DivergenceError("non-finite training loss")
+    return loss
+
+
 def _check_grad(m: AutoencoderModel, grad: AutoencoderModel) -> None:
     if grad.dims != m.dims:
         raise DimensionError(f"gradient dims {grad.dims} != model dims {m.dims}")
@@ -197,7 +206,7 @@ def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray, grad: Autoencode
     enc_acts = _forward(m.enc_w, m.enc_b, x)
     dec_acts = _forward(m.dec_w, m.dec_b, enc_acts[-1])
     diff = dec_acts[-1] - x
-    loss = float(np.sum(diff * diff))
+    loss = _squared_error(diff)
     dz0 = _backward(m.dec_w, dec_acts, 2.0 * diff, grad.dec_w, grad.dec_b)
     _backward(m.enc_w, enc_acts, dz0 @ m.dec_w[0].T, grad.enc_w, grad.enc_b)
     return loss
@@ -214,7 +223,7 @@ def backprop_embedding(
     _check_grad(m, grad)
     acts = _forward(m.enc_w, m.enc_b, x)
     diff = acts[-1] - targets
-    loss = float(np.sum(diff * diff))
+    loss = _squared_error(diff)
     _backward(m.enc_w, acts, 2.0 * diff, grad.enc_w, grad.enc_b)
     return loss
 
@@ -299,6 +308,23 @@ def adam_step(params, grads, state: AdamState):
     return params, state
 
 
+def train(step, arrays, epochs: int, batch_size: int, rng) -> list[float]:
+    """The one mini-batch loop. Per epoch, ``step(*batch)`` on each
+    ``batch_size`` slice of ``rng.permutation``, gathering the same rows of
+    every array; with ``rng`` None, one ``step(*arrays)`` on the arrays
+    themselves. Returns each epoch's summed loss."""
+    losses = []
+    for _ in range(epochs):
+        if rng is None:
+            losses.append(step(*arrays))
+            continue
+        order, total = rng.permutation(len(arrays[0])), 0.0
+        for start in range(0, len(order), batch_size):
+            total += step(*[a[order[start : start + batch_size]] for a in arrays])
+        losses.append(total)
+    return losses
+
+
 def pretrain(
     m: AutoencoderModel,
     x: np.ndarray,
@@ -307,7 +333,7 @@ def pretrain(
     seed: int = 0,
     lr: float = 0.001,
 ):
-    """Mini-batch Adam on the reconstruction loss.
+    """Mini-batch Adam on the reconstruction loss, through ``train``.
 
     Shuffles per epoch with a generator seeded by ``seed``. Returns the model
     (trained in place) and the per-epoch summed losses. Bad arguments and
@@ -320,28 +346,21 @@ def pretrain(
     x = check_matrix("input", x, cols=m.input_dim)
     if not np.isfinite(x).all():
         raise NumericError("input contains non-finite values")
-    n = x.shape[0]
-    rng = np.random.default_rng(seed)
     grad = AutoencoderModel(m.dims, np.empty_like(m.flat))
     adam = AdamState.for_params([m.flat], lr=lr)
-    epoch_losses = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            batch = x[order[start : start + batch_size]]
-            loss = backprop_reconstruction(m, batch, grad)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            total += loss
-            adam_step([m.flat], [grad.flat], adam)
-        epoch_losses.append(total)
-    return m, epoch_losses
+
+    def step(batch):
+        loss = backprop_reconstruction(m, batch, grad)
+        adam_step([m.flat], [grad.flat], adam)
+        return loss
+
+    return m, train(step, [x], epochs, batch_size, np.random.default_rng(seed))
 
 
 def save_checkpoint(path, m: AutoencoderModel, meta: dict | None = None) -> None:
     """Write the model as versioned JSON; parameters round-trip bit-exactly
-    via base64-encoded little-endian float64 buffers."""
+    via base64-encoded little-endian float64 buffers. A ``meta`` that JSON
+    cannot encode is a ConfigurationError, and nothing is written."""
 
     def pack(a: np.ndarray):
         return {
@@ -358,8 +377,12 @@ def save_checkpoint(path, m: AutoencoderModel, meta: dict | None = None) -> None
         "dec_b": [pack(a) for a in m.dec_b],
         "meta": meta or {},
     }
+    try:
+        text = json.dumps(doc)
+    except (TypeError, ValueError) as exc:  # ValueError: a circular reference
+        raise ConfigurationError(f"checkpoint meta is not JSON-encodable: {exc}") from exc
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(text)
 
 
 def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:

@@ -45,8 +45,19 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _out_dir(path) -> Path:
+    """Create the output directory ``path`` and its parents; a file in the
+    way is a ConfigurationError, like any other OSError here."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _out_dir(path.parent)
     path.write_text(text)
 
 
@@ -84,9 +95,8 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     if cfg.checkpoint:
         raise ConfigurationError("pretrain writes a checkpoint and cannot start from one")
     ds = _load_dataset(cfg)
+    out = _out_dir(cfg.out)
     model, losses = _pretrain(cfg, ds, cfg.seed)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     ae.save_checkpoint(
         out / "checkpoint.json",
         model,
@@ -125,8 +135,7 @@ def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start, tags=None, **ov
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     ds = _load_dataset(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out)
     runs, last_result, history_text = _run_repeats(cfg, ds, _start_model(cfg, ds))
     summaries = [
         {
@@ -180,8 +189,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     ds = _load_dataset(cfg)
     if ds.labels is None:
         raise ConfigurationError("ablation needs a labeled dataset to compare ACC curves")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out)
 
     # One pretrained model per repeat seed, shared across all variants so
     # every curve starts from the same iteration-0 clustering.
@@ -244,8 +252,7 @@ def cmd_eval(labels_path, assignments_path, out_dir) -> int:
         "acc": metrics.acc(g, c),
         "nmi": metrics.nmi(g, c),
     }
-    out = Path(out_dir)
-    _write(out / "metrics.json", _json_dumps(doc))
+    _write(Path(out_dir) / "metrics.json", _json_dumps(doc))
     print(f"acc={doc['acc']:.6f} nmi={doc['nmi']:.6f}")
     return 0
 
@@ -256,8 +263,7 @@ def cmd_gen_synth(cfg: ExperimentConfig) -> int:
         raise ConfigurationError("gen-synth requires a synthetic dataset spec")
     cfg = dataclasses.replace(cfg, dataset=spec)  # checks the spec as typed
     ds = _load_dataset(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out)
     data.save_csv(out / "data.csv", ds.x, ds.labels)
     meta = {k: v for k, v in ds.meta.items() if k != "latent"}
     _write(out / "metadata.json", _json_dumps({"config": cfg.to_dict(), "dataset": meta}))

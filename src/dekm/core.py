@@ -24,7 +24,7 @@ from . import autoencoder as ae
 from . import kmeans as km
 from . import metrics
 from .errors import (
-    ConfigurationError, ConvergenceError, DimensionError, DivergenceError, NumericError,
+    ConfigurationError, ConvergenceError, DimensionError, NumericError,
     check_int, check_matrix, check_real,
 )
 
@@ -141,10 +141,9 @@ def greedy_targets(
     h + ((c - h) . u) u, which replaces coordinate ``dim`` of y = V h since V
     is orthonormal. Random-dimension strategies draw ``dim`` once, from
     ``rng``."""
-    h = check_matrix("h", h, len(r.assignments), r.centroids.shape[1])
+    h, per_point_cent = km.assigned_centroids(h, r)
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
-    per_point_cent = r.centroids[r.assignments]
     if strategy == "all_dims_H":
         return per_point_cent
     if strategy == "last_dim_Y":
@@ -179,8 +178,6 @@ def representation_step(
     embedding-space targets, with the gradient written into ``grad`` (a
     model of the same dims). The decoder is untouched."""
     loss = ae.backprop_embedding(model, x_batch, targets_batch, grad)
-    if not np.isfinite(loss):
-        raise DivergenceError("non-finite representation loss")
     ae.adam_step([model.encoder_flat], [grad.encoder_flat], adam)
     return loss
 
@@ -210,6 +207,8 @@ def run_dekm(
     record (next ``iter``, ``seconds=0.0``) and no further pass runs.
     Non-finite ``x`` and ``labels`` not one per row are rejected up front.
     """
+    if not isinstance(config, DekmConfig):
+        raise ConfigurationError(f"config must be a DekmConfig, got {type(config).__name__}")
     x = check_matrix("x", x, cols=model.input_dim)
     if x.shape[0] < config.k:
         raise ConfigurationError(f"{x.shape[0]} samples for k={config.k}")
@@ -222,7 +221,6 @@ def run_dekm(
     grad = ae.AutoencoderModel(model.dims, np.empty_like(model.flat))
     history = RunHistory()
     prev_assign = None
-    n = x.shape[0]
 
     for it in range(config.max_outer_iters + 1):
         t0 = time.perf_counter()
@@ -254,15 +252,8 @@ def run_dekm(
             history.records.append(replace(record, iter=it + 1, l4=None, seconds=0.0))
             break
         prev_assign = result.assignments
-
-        if config.batch_mode == "full_batch":
-            for _ in range(config.inner_steps):
-                representation_step(model, x, targets, adam, grad)
-        else:
-            for _ in range(config.inner_steps):
-                order = rng.permutation(n)
-                for start in range(0, n, config.inner_batch_size):
-                    idx = order[start : start + config.inner_batch_size]
-                    representation_step(model, x[idx], targets[idx], adam, grad)
+        ae.train(lambda xb, tb: representation_step(model, xb, tb, adam, grad), [x, targets],
+                 config.inner_steps, config.inner_batch_size,
+                 None if config.batch_mode == "full_batch" else rng)
     history.embedding = h
     return result, model, history

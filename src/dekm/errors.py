@@ -59,8 +59,16 @@ def check_real(name: str, value, positive: bool) -> None:
 def check_matrix(name: str, a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Return ``a`` as a float64 array (``a`` itself if it is one); raise
     ``DimensionError`` unless it is 2-D with ``rows`` rows and ``cols``
-    columns, where None allows any count."""
-    a = np.asarray(a, dtype=np.float64)
+    columns, where None allows any count, and ``ConfigurationError`` unless
+    it holds real numbers (bool, integer or float)."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # ragged nested sequences
+        raise DimensionError(f"{name} is not a rectangular array: {exc}") from exc
+    if a.dtype != np.float64:
+        if a.dtype.kind not in "biuf":
+            raise ConfigurationError(f"{name} must hold real numbers, got dtype {a.dtype}")
+        a = a.astype(np.float64)
     if (a.ndim != 2 or rows is not None and a.shape[0] != rows
             or cols is not None and a.shape[1] != cols):
         want = f"({'n' if rows is None else rows}, {'d' if cols is None else cols})"

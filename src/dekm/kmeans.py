@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, check_int, check_matrix, check_real
+from .errors import (
+    ConfigurationError, DimensionError, NumericError, check_int, check_matrix, check_real,
+)
 
 
 @dataclass
@@ -165,8 +167,23 @@ def lloyd(
     )
 
 
+def assigned_centroids(h: np.ndarray, r: ClusterResult) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` checked against ``r`` (one row per assignment, as wide as the
+    centroids) and each row's centroid ``r.centroids[r.assignments]``.
+    Assignments must be a 1-D integer array (DimensionError if not 1-D)
+    with values in [0, k) (ConfigurationError)."""
+    centroids = check_matrix("centroids", r.centroids)
+    a = np.asarray(r.assignments)
+    if a.ndim != 1:
+        raise DimensionError(f"assignments must be 1-D, got shape {a.shape}")
+    h = check_matrix("h", h, len(a), centroids.shape[1])
+    if a.dtype.kind not in "iu" or a.size and not (a.min() >= 0 and a.max() < len(centroids)):
+        raise ConfigurationError(f"assignments must be integers in [0, {len(centroids)})")
+    return h, centroids[a]
+
+
 def within_class_scatter(h: np.ndarray, r: ClusterResult) -> np.ndarray:
     """S_w = sum over clusters of (h - mu)(h - mu)^T; trace equals inertia."""
-    h = check_matrix("h", h, len(r.assignments), r.centroids.shape[1])
-    centered = h - r.centroids[r.assignments]
+    h, member_centroids = assigned_centroids(h, r)
+    centered = h - member_centroids
     return centered.T @ centered

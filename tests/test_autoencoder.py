@@ -283,6 +283,65 @@ def test_pretrain_divergence_error():
         ae.pretrain(m, np.ones((4, 3)), epochs=1, seed=0)
 
 
+def test_pretrain_divergence_leaves_the_model_and_adam_as_they_were(monkeypatch):
+    m = ae.xavier_init([3, 2], seed=0)
+    m.enc_w[0][:] = np.inf
+    before = m.flat.copy()
+    states, steps = [], []
+    for_params, adam_step = ae.AdamState.for_params, ae.adam_step
+    monkeypatch.setattr(
+        ae.AdamState, "for_params",
+        classmethod(lambda cls, *a, **kw: states.append(for_params(*a, **kw)) or states[-1]),
+    )
+    monkeypatch.setattr(ae, "adam_step", lambda *a: steps.append(a) or adam_step(*a))
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+        ae.pretrain(m, np.ones((4, 3)), epochs=1, seed=0)
+    assert m.flat.tobytes() == before.tobytes()
+    assert steps == [] and len(states) == 1 and states[0].t == 0
+
+
+def test_train_steps_on_each_row_once_per_epoch_in_permutation_order():
+    x, y = np.arange(14.0).reshape(7, 2), np.arange(7)
+    calls = []
+    losses = ae.train(
+        lambda xb, yb: calls.append((xb, yb)) or float(yb.sum()),
+        [x, y], 2, 3, np.random.default_rng(4),
+    )
+    expected = np.random.default_rng(4)
+    assert len(calls) == 6
+    for epoch in range(2):
+        batches = calls[3 * epoch : 3 * epoch + 3]
+        assert [len(yb) for _, yb in batches] == [3, 3, 1]  # the last batch is shorter
+        order = np.concatenate([yb for _, yb in batches])
+        assert np.array_equal(order, expected.permutation(7))
+        assert all(np.array_equal(xb, x[yb]) for xb, yb in batches)
+    assert losses == [21.0, 21.0]  # each epoch's summed step losses
+
+
+def test_train_without_rng_steps_once_per_epoch_on_the_arrays_themselves():
+    x, y = np.ones((5, 2)), np.zeros((5, 1))
+    calls = []
+    losses = ae.train(lambda *a: calls.append(a) or 2.5, [x, y], 3, 2, None)
+    assert losses == [2.5, 2.5, 2.5]
+    assert len(calls) == 3 and all(a[0] is x and a[1] is y for a in calls)
+
+
+def _circular():
+    d = {}
+    d["self"] = d
+    return d
+
+
+@pytest.mark.parametrize(
+    "meta", [{"a": object()}, {"a": np.ones(2)}, _circular()], ids=["object", "array", "circular"]
+)
+def test_save_checkpoint_with_unencodable_meta_writes_nothing(tmp_path, meta):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ConfigurationError, match="meta"):
+        ae.save_checkpoint(path, ae.xavier_init([3, 2], seed=0), meta=meta)
+    assert not path.exists()
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     m = ae.xavier_init([5, 4, 3], seed=8)
     m, _ = ae.pretrain(m, rng.normal(size=(12, 5)), epochs=2, seed=0)

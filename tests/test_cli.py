@@ -512,3 +512,23 @@ def test_unknown_dataset_keys_exit_2_naming_the_key(small_config, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
+@pytest.mark.parametrize("command", ["pretrain", "run", "ablate", "gen-synth", "eval"])
+def test_out_naming_a_file_exits_2_without_a_traceback(small_config, capsys, command, under):
+    cfg_path, tmp = small_config
+    blocker = tmp / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under else blocker
+    if command == "eval":
+        labels = tmp / "labels.txt"
+        labels.write_text("0\n1\n")
+        argv = ["eval", str(labels), str(labels), "--out", str(out)]
+    else:
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(blocker) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import dekm.autoencoder as ae
 from dekm import core, data, kmeans as km, metrics
 from dekm.config import ExperimentConfig, load_config
-from dekm.errors import ConfigurationError, DimensionError, NumericError
+from dekm.errors import ConfigurationError, DimensionError, DivergenceError, NumericError
 from dekm.core import TransformState
 
 from conftest import (
@@ -75,7 +75,6 @@ def test_dekm_config_overrides_are_validated():
         ExperimentConfig(dekm={"k": 2, "seed": 5})
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _dekm_fields = st.fixed_dictionaries(
     {"k": st.integers(1, 50)},
@@ -91,9 +90,28 @@ _dekm_fields = st.fixed_dictionaries(
         "kmeans_tol": st.floats(min_value=0.0, allow_infinity=False),
     },
 )
+# one mapping of each valid dataset type, with only the keys that type reads
+_datasets = (
+    st.just({})
+    | st.fixed_dictionaries(
+        {"type": st.just("synthetic")},
+        optional={
+            "k": st.integers(1, 50),
+            "per_cluster_n": st.integers(1, 1000),
+            "latent_dim": st.integers(1, 4),
+            "ambient_dim": st.integers(4, 64),
+            "separation": _positive,
+            "seed": st.integers(0, 2**63),
+        },
+    )
+    | st.fixed_dictionaries(
+        {"type": st.just("csv"), "path": st.text()}, optional={"has_labels": st.booleans()}
+    )
+    | st.fixed_dictionaries({"type": st.just("idx"), "images": st.text(), "labels": st.text()})
+)
 _experiment_configs = st.builds(
     ExperimentConfig,
-    dataset=st.dictionaries(st.text(), st.integers() | _finite | st.text() | st.booleans(), max_size=4),
+    dataset=_datasets,
     hidden_dims=st.lists(st.integers(1, 4096), max_size=4),
     embedding_dim=st.none() | st.integers(1, 64),
     pretrain_epochs=st.integers(0, 1000),
@@ -301,6 +319,18 @@ def test_y_space_gradient_finite_differences(seed):
     assert max_gradient_rel_error(grads, fd, loss) < 1e-4
 
 
+def test_representation_step_divergence_leaves_the_model_and_adam_as_they_were(rng):
+    model = ae.xavier_init([4, 3, 2], seed=0)
+    model.enc_w[0][:] = np.inf
+    before = model.flat.copy()
+    adam = ae.AdamState.for_params([model.encoder_flat])
+    x, targets = rng.normal(size=(5, 4)), np.zeros((5, 2))
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+        core.representation_step(model, x, targets, adam, empty_gradient(model))
+    assert model.flat.tobytes() == before.tobytes()
+    assert adam.t == 0 and not adam.m[0].any() and not adam.v[0].any()
+
+
 def test_representation_step_leaves_decoder_untouched(rng):
     model = ae.xavier_init([6, 5, 3], seed=1)
     x = rng.normal(size=(12, 6))
@@ -491,6 +521,19 @@ def test_run_dekm_full_batch_mode_runs():
     cfg = core.DekmConfig(k=4, max_outer_iters=3, batch_mode="full_batch", seed=5)
     _, _, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
     assert len(history.records) >= 2
+
+
+def test_run_dekm_full_batch_steps_on_x_itself_inner_steps_times_per_pass(monkeypatch):
+    ds = synthetic_fixture()
+    model = pretrained_model(ds, 5)
+    batches = []
+    step = core.representation_step
+    monkeypatch.setattr(core, "representation_step", lambda *a: batches.append(a[1]) or step(*a))
+    cfg = core.DekmConfig(k=4, max_outer_iters=3, inner_steps=3, batch_mode="full_batch", seed=5)
+    _, _, history = core.run_dekm(model, ds.x, cfg)
+    updates = len(history.records) - 1 - history.stopped_early
+    assert updates >= 1 and len(batches) == 3 * updates
+    assert all(xb is ds.x for xb in batches)
 
 
 def test_run_dekm_rejects_too_few_samples():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ def _clustering():
 
 def _transform():
     return core.build_transform(km.within_class_scatter(H, _clustering()))
+
+
+def _assigned(assignments):
+    """The two-cluster clustering of H with other assignments."""
+    return dataclasses.replace(_clustering(), assignments=np.asarray(assignments))
 
 
 def test_check_matrix_returns_a_float64_matrix_as_it_is():
@@ -55,6 +62,36 @@ CASES = {
     "uniform_bool_n": (ConfigurationError, lambda: metrics.uniform_entropy(True)),
     "xavier_negative_seed": (ConfigurationError, lambda: ae.xavier_init([3, 2], seed=-1)),
     "kmeanspp_negative_seed": (ConfigurationError, lambda: km.kmeanspp_init(H, 2, -1)),
+    "matrix_ragged": (DimensionError, lambda: check_matrix("h", [[1.0, 2.0], [3.0]])),
+    "matrix_strings": (ConfigurationError, lambda: check_matrix("h", [["1", "2"]])),
+    "matrix_complex": (ConfigurationError, lambda: check_matrix("h", H + 1j)),
+    "encode_ragged": (
+        DimensionError, lambda: ae.encode(ae.xavier_init([2, 1], 0), [[1.0], [1.0, 2.0]]),
+    ),
+    "loss_complex_targets": (ConfigurationError, lambda: core.greedy_loss(H, H + 0j)),
+    "scatter_assignment_k": (
+        ConfigurationError, lambda: km.within_class_scatter(H, _assigned([0, 1, 2, 0, 1])),
+    ),
+    "scatter_assignment_negative": (
+        ConfigurationError, lambda: km.within_class_scatter(H, _assigned([0, 1, -1, 0, 1])),
+    ),
+    "scatter_float_assignments": (
+        ConfigurationError, lambda: km.within_class_scatter(H, _assigned([0.0, 1, 1, 0, 1])),
+    ),
+    "scatter_2d_assignments": (
+        DimensionError, lambda: km.within_class_scatter(H, _assigned([[0, 1, 1, 0, 1]])),
+    ),
+    "targets_assignment_k": (
+        ConfigurationError,
+        lambda: core.greedy_targets(H, _transform(), _assigned([0, 1, 2, 0, 1]), "all_dims_H"),
+    ),
+    "targets_assignment_negative": (
+        ConfigurationError,
+        lambda: core.greedy_targets(H, _transform(), _assigned([0, 1, -1, 0, 1]), "all_dims_H"),
+    ),
+    "run_dekm_config_not_a_dekm_config": (
+        ConfigurationError, lambda: core.run_dekm(ae.xavier_init([3, 2], 0), H, {"k": 2}),
+    ),
 }
 
 
