@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import open_output
 from .errors import (
     ConfigurationError, DimensionError, DivergenceError, FormatError, NumericError,
     check_int, check_matrix, check_real,
@@ -41,6 +42,14 @@ def _size(groups) -> int:
     return sum(math.prod(shape) for shapes in groups for shape in shapes)
 
 
+def _check_dims(dims) -> None:
+    """ConfigurationError unless ``dims`` holds at least two integer widths >= 1."""
+    if len(dims) < 2:
+        raise ConfigurationError(f"need at least input and embedding widths, got {dims}")
+    for i, d in enumerate(dims):
+        check_int(f"layer width {i}", d, 1)
+
+
 @dataclass
 class AutoencoderModel:
     """All parameters live in one C-contiguous float64 vector ``flat``:
@@ -59,6 +68,7 @@ class AutoencoderModel:
     encoder_flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_dims(self.dims)
         groups = _param_groups(self.dims)
         f = self.flat
         if not (f.dtype == np.float64 and f.shape == (_size(groups),) and f.flags.c_contiguous):
@@ -89,10 +99,7 @@ class AutoencoderModel:
 
 def xavier_init(dims: list[int], seed: int) -> AutoencoderModel:
     """Build a mirrored autoencoder with Xavier-uniform weights, zero biases."""
-    if len(dims) < 2:
-        raise ConfigurationError(f"need at least input and embedding widths, got {dims}")
-    for i, d in enumerate(dims):
-        check_int(f"layer width {i}", d, 1)
+    _check_dims(dims)
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     m = AutoencoderModel(list(dims), np.zeros(_size(_param_groups(dims))))
@@ -381,7 +388,7 @@ def save_checkpoint(path, m: AutoencoderModel, meta: dict | None = None) -> None
         text = json.dumps(doc)
     except (TypeError, ValueError) as exc:  # ValueError: a circular reference
         raise ConfigurationError(f"checkpoint meta is not JSON-encodable: {exc}") from exc
-    with open(path, "w") as f:
+    with open_output(path) as f:
         f.write(text)
 
 
@@ -408,13 +415,12 @@ def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
     keys = ("enc_w", "enc_b", "dec_w", "dec_b")
     try:  # binascii.Error is a ValueError
         dims = list(doc["dims"])
-        for i, d in enumerate(dims):
-            check_int(f"dims[{i}]", d, 1)
+        _check_dims(dims)
         params = [[unpack(e) for e in doc[key]] for key in keys]
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
     shapes = [[a.shape for a in group] for group in params]
-    if len(dims) < 2 or shapes != _param_groups(dims):
+    if shapes != _param_groups(dims):
         raise FormatError(
             f"{path}: parameter shapes {dict(zip(keys, shapes))} do not fit dims {dims}"
         )

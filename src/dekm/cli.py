@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import core, data, metrics
-from .config import ExperimentConfig, load_config
+from .config import FLAGS, ExperimentConfig, load_config
 from .errors import ConfigurationError, DekmError, FormatError
 
 
@@ -58,7 +58,8 @@ def _out_dir(path) -> Path:
 
 def _write(path: Path, text: str) -> None:
     _out_dir(path.parent)
-    path.write_text(text)
+    with data.open_output(path) as f:
+        f.write(text)
 
 
 def _config_comment(cfg: ExperimentConfig) -> str:
@@ -271,12 +272,13 @@ def cmd_gen_synth(cfg: ExperimentConfig) -> int:
     return 0
 
 
-# The subcommands that read an experiment config; eval reads two label files.
+# The subcommands that read an experiment config, each with its handler and
+# the FLAGS it reads; eval reads two label files.
 COMMANDS = {
-    "pretrain": cmd_pretrain,
-    "run": cmd_run,
-    "ablate": cmd_ablate,
-    "gen-synth": cmd_gen_synth,
+    "pretrain": (cmd_pretrain, ("seed", "out", "k", "checkpoint")),
+    "run": (cmd_run, tuple(FLAGS)),
+    "ablate": (cmd_ablate, ("seed", "out", "iters", "repeats", "k", "checkpoint")),
+    "gen-synth": (cmd_gen_synth, ("seed", "out", "k")),
 }
 
 
@@ -286,20 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deep embedded K-means: pretrain, run, ablate, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--iters", type=int, help="outer iteration budget")
-        p.add_argument("--strategy", choices=core.STRATEGIES)
-        p.add_argument("--batch-mode", dest="batch_mode", choices=core.BATCH_MODES)
-        p.add_argument("--repeats", type=int)
-        p.add_argument("--k", type=int, help="cluster count")
-        p.add_argument("--checkpoint", help="model checkpoint to start from")
-
-    for name in COMMANDS:
-        common(sub.add_parser(name))
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag][1])
 
     p_eval = sub.add_parser("eval")
     p_eval.add_argument("labels", help="ground-truth label file, one integer per line")
@@ -313,11 +306,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "eval":
             return cmd_eval(args.labels, args.assignments, args.out)
-        overrides = {
-            k: getattr(args, k, None)
-            for k in ("seed", "out", "iters", "strategy", "batch_mode", "repeats", "k", "checkpoint")
-        }
-        return COMMANDS[args.command](load_config(args.config, overrides))
+        return COMMANDS[args.command][0](load_config(args.config, vars(args)))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

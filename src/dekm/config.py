@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 from . import data
-from .core import DekmConfig
+from .core import BATCH_MODES, STRATEGIES, DekmConfig
 from .errors import ConfigurationError, check_int, check_real
 
 
@@ -18,6 +18,21 @@ _DATASET_KEYS = {
     "synthetic": {"type", "k", "per_cluster_n", "latent_dim", "ambient_dim", "separation", "seed"},
     "csv": {"type", "path", "has_labels"},
     "idx": {"type", "images", "labels"},
+}
+
+
+# CLI flag -> (the config key it sets, its argparse keywords); a "dekm."
+# key is a DekmConfig field. Each subcommand parses the flags it reads
+# (cli.COMMANDS).
+FLAGS = {
+    "seed": ("seed", {"type": int, "help": "base seed; repeat r runs with seed + r"}),
+    "out": ("out", {"help": "output directory"}),
+    "iters": ("dekm.max_outer_iters", {"type": int, "help": "outer iteration budget"}),
+    "strategy": ("dekm.strategy", {"choices": STRATEGIES, "help": "target strategy"}),
+    "batch_mode": ("dekm.batch_mode", {"choices": BATCH_MODES, "help": "encoder update batching"}),
+    "repeats": ("repeats", {"type": int, "help": "runs per command, one per seed"}),
+    "k": ("dekm.k", {"type": int, "help": "cluster count"}),
+    "checkpoint": ("checkpoint", {"help": "model checkpoint that run and ablate start from"}),
 }
 
 
@@ -119,12 +134,8 @@ class ExperimentConfig:
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    """Build a config from an optional JSON file and flat overrides.
-
-    Overrides use the CLI flag names: top-level fields directly, DEKM-loop
-    fields under their own names (iters -> dekm.max_outer_iters, strategy,
-    batch_mode).
-    """
+    """Build a config from an optional JSON file and flat overrides, keyed
+    by the flag names in FLAGS; a None value sets nothing."""
     doc: dict = {}
     if path is not None:
         try:
@@ -137,20 +148,11 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
     if not isinstance(doc.get("dekm", {}), dict):
         raise ConfigurationError("dekm must be a mapping")
-    dekm_fields = dict(doc.get("dekm", {}))
-    mapping = {
-        "iters": "max_outer_iters",
-        "strategy": "strategy",
-        "batch_mode": "batch_mode",
-        "k": "k",
-    }
-    for flag, fieldname in mapping.items():
+    doc["dekm"] = dict(doc.get("dekm", {}))
+    for flag, (key, _) in FLAGS.items():
         if overrides.get(flag) is not None:
-            dekm_fields[fieldname] = overrides[flag]
-    doc["dekm"] = dekm_fields
-    for key in ("seed", "out", "repeats", "checkpoint"):
-        if overrides.get(key) is not None:
-            doc[key] = overrides[key]
+            section, _, name = key.rpartition(".")
+            (doc[section] if section else doc)[name] = overrides[flag]
 
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(doc) - known

@@ -39,6 +39,15 @@ def _open_input(path, *args, **kwargs):
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
 
 
+def open_output(path):
+    """``open(path, "w")`` for an output file: one that cannot be opened (a
+    directory in its place, say) is a ``ConfigurationError``."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
 def text_lines(path):
     """Yield ``(line number, line)`` for each line of a UTF-8 text file.
     Undecodable bytes are a ``FormatError`` naming the file."""
@@ -156,7 +165,7 @@ def _is_number(s: str) -> bool:
 def save_csv(path, x: np.ndarray, labels=None, header: str = "") -> None:
     """Write ``header`` verbatim, then features (repr-precision floats)
     with an optional trailing integer label column."""
-    with open(path, "w") as f:
+    with open_output(path) as f:
         f.write(header)
         for i in range(x.shape[0]):
             cells = [repr(float(v)) for v in x[i]]

@@ -449,6 +449,17 @@ def test_model_rejects_a_mis_sized_or_strided_vector():
         ae.AutoencoderModel([3, 2], np.zeros(2 * 17)[::2])
 
 
+@pytest.mark.parametrize(
+    "dims, size",
+    [([3, 2.0], 17), ([3], 0), ([3, 0], 3)],
+    ids=["float_width", "one_width", "zero_width"],
+)
+def test_model_rejects_dims_that_are_not_two_or_more_positive_integers(dims, size):
+    # each size fits its dims, so only the widths themselves are wrong
+    with pytest.raises(ConfigurationError):
+        ae.AutoencoderModel(dims, np.zeros(size))
+
+
 @pytest.mark.parametrize("which", ["reconstruction", "embedding"])
 def test_backprop_writes_into_the_given_gradient(monkeypatch, rng, which):
     m = ae.xavier_init([6, 5, 3], seed=2)

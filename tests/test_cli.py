@@ -1,10 +1,12 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
 
 from dekm import cli
+from dekm.config import ExperimentConfig
 
 
 @pytest.fixture
@@ -532,3 +534,87 @@ def test_out_naming_a_file_exits_2_without_a_traceback(small_config, capsys, com
     assert err.startswith("error:") and str(blocker) in err
     assert "Traceback" not in err
     assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("eval", "metrics.json"), ("run", "results.json"), ("pretrain", "checkpoint.json"),
+     ("gen-synth", "data.csv")],
+)
+def test_an_output_file_that_cannot_be_opened_exits_2_without_a_traceback(
+    small_config, capsys, command, blocked
+):
+    cfg_path, tmp = small_config
+    out = tmp / "o"
+    (out / blocked).mkdir(parents=True)
+    if command == "eval":
+        labels = tmp / "labels.txt"
+        labels.write_text("0\n1\n")
+        argv = ["eval", str(labels), str(labels), "--out", str(out)]
+    else:
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / blocked) in err
+    assert "Traceback" not in err
+
+
+# flag -> (its value on the command line, the config key it sets, the value
+# it sets there), written out independently of dekm.config.FLAGS
+FLAG_VALUES = {
+    "seed": ("11", ("seed",), 11),
+    "out": ("elsewhere", ("out",), "elsewhere"),
+    "iters": ("5", ("dekm", "max_outer_iters"), 5),
+    "strategy": ("random_dim_H", ("dekm", "strategy"), "random_dim_H"),
+    "batch_mode": ("full_batch", ("dekm", "batch_mode"), "full_batch"),
+    "repeats": ("4", ("repeats",), 4),
+    "k": ("3", ("dekm", "k"), 3),
+    "checkpoint": ("ck.json", ("checkpoint",), "ck.json"),
+}
+# the flags each subcommand reads, besides --config
+READS = {
+    "pretrain": {"seed", "out", "k", "checkpoint"},
+    "run": set(FLAG_VALUES),
+    "ablate": set(FLAG_VALUES) - {"strategy", "batch_mode"},
+    "gen-synth": {"seed", "out", "k"},
+}
+FLAG_PAIRS = [(command, flag) for command in READS for flag in ["config", *FLAG_VALUES]]
+
+
+def _option(flag):
+    return "--" + flag.replace("_", "-")
+
+
+@pytest.mark.parametrize("command, flag", FLAG_PAIRS, ids=[f"{c}-{f}" for c, f in FLAG_PAIRS])
+def test_each_subcommand_parses_only_the_flags_it_reads(
+    small_config, monkeypatch, capsys, command, flag
+):
+    cfg_path, _ = small_config
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config", *map(_option, READS[command])}
+
+    seen = []
+
+    def handler(cfg):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, command, (handler, cli.COMMANDS[command][1]))
+    argv = [command, "--config", str(cfg_path)]
+    doc = json.loads(cfg_path.read_text())
+    if flag != "config":
+        value, (*section, key), typed = FLAG_VALUES[flag]
+        argv += [_option(flag), value]
+        (doc[section[0]] if section else doc)[key] = typed
+    if flag == "config" or flag in READS[command]:
+        assert cli.main(argv) == 0
+        assert seen == [ExperimentConfig(**doc)]
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert _option(flag) in capsys.readouterr().err
+    assert not seen
