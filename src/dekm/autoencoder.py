@@ -43,9 +43,9 @@ def _size(groups) -> int:
 
 
 def _check_dims(dims) -> None:
-    """ConfigurationError unless ``dims`` holds at least two integer widths >= 1."""
-    if len(dims) < 2:
-        raise ConfigurationError(f"need at least input and embedding widths, got {dims}")
+    """ConfigurationError unless ``dims`` is a list or tuple of >= 2 integer widths >= 1."""
+    if not isinstance(dims, (list, tuple)) or len(dims) < 2:
+        raise ConfigurationError(f"need a list of two or more layer widths, got {dims!r}")
     for i, d in enumerate(dims):
         check_int(f"layer width {i}", d, 1)
 
@@ -71,6 +71,8 @@ class AutoencoderModel:
         _check_dims(self.dims)
         groups = _param_groups(self.dims)
         f = self.flat
+        if not isinstance(f, np.ndarray):
+            raise DimensionError(f"flat must be a numpy array, got {type(f).__name__}")
         if not (f.dtype == np.float64 and f.shape == (_size(groups),) and f.flags.c_contiguous):
             raise DimensionError(
                 f"dims {self.dims} need a C-contiguous float64 vector of "

@@ -29,35 +29,28 @@ from .config import FLAGS, ExperimentConfig, load_config
 from .errors import ConfigurationError, DekmError, FormatError
 
 
-def _load_dataset(cfg: ExperimentConfig) -> data.Dataset:
-    spec = cfg.dataset
-    kind = spec.get("type")
-    if kind == "synthetic":
-        return data.gen_synthetic(**cfg.synthetic_args())
-    if kind == "csv":
-        return data.load_csv(spec["path"], spec.get("has_labels", False))
-    if kind == "idx":
-        return data.load_idx(spec["images"], spec["labels"])
-    raise ConfigurationError(f"dataset.type must be synthetic, csv or idx, got {kind!r}")
-
-
 def _json_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _out_dir(path) -> Path:
-    """Create the output directory ``path`` and its parents; a file in the
-    way is a ConfigurationError, like any other OSError here."""
+def _out_dir(path, *names) -> Path:
+    """Create the output directory ``path`` and its parents, and check that
+    each file in ``names`` can be written there, creating or truncating
+    none. A file or directory in the way is a ConfigurationError."""
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+    for file in (path / name for name in names):
+        if file.is_dir():
+            raise ConfigurationError(f"cannot write {file}: a directory is in its place")
+        if not os.access(file if file.exists() else path, os.W_OK):
+            raise ConfigurationError(f"cannot write {file}: permission denied")
     return path
 
 
 def _write(path: Path, text: str) -> None:
-    _out_dir(path.parent)
     with data.open_output(path) as f:
         f.write(text)
 
@@ -95,8 +88,8 @@ def _start_model(cfg: ExperimentConfig, ds: data.Dataset):
 def cmd_pretrain(cfg: ExperimentConfig) -> int:
     if cfg.checkpoint:
         raise ConfigurationError("pretrain writes a checkpoint and cannot start from one")
-    ds = _load_dataset(cfg)
-    out = _out_dir(cfg.out)
+    ds = cfg.dataset_loader()()
+    out = _out_dir(cfg.out, "checkpoint.json", "loss.csv")
     model, losses = _pretrain(cfg, ds, cfg.seed)
     ae.save_checkpoint(
         out / "checkpoint.json",
@@ -135,8 +128,8 @@ def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start, tags=None, **ov
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    ds = _load_dataset(cfg)
-    out = _out_dir(cfg.out)
+    ds = cfg.dataset_loader()()
+    out = _out_dir(cfg.out, "results.json", "history.jsonl", "embedding.csv")
     runs, last_result, history_text = _run_repeats(cfg, ds, _start_model(cfg, ds))
     summaries = [
         {
@@ -187,10 +180,11 @@ ABLATION_VARIANTS = {
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> int:
-    ds = _load_dataset(cfg)
+    ds = cfg.dataset_loader()()
     if ds.labels is None:
         raise ConfigurationError("ablation needs a labeled dataset to compare ACC curves")
-    out = _out_dir(cfg.out)
+    histories = [f"history_{name}.jsonl" for name in ABLATION_VARIANTS]
+    out = _out_dir(cfg.out, *histories, "ablation.csv")
 
     # One pretrained model per repeat seed, shared across all variants so
     # every curve starts from the same iteration-0 clustering.
@@ -253,7 +247,8 @@ def cmd_eval(labels_path, assignments_path, out_dir) -> int:
         "acc": metrics.acc(g, c),
         "nmi": metrics.nmi(g, c),
     }
-    _write(Path(out_dir) / "metrics.json", _json_dumps(doc))
+    out = _out_dir(out_dir, "metrics.json")
+    _write(out / "metrics.json", _json_dumps(doc))
     print(f"acc={doc['acc']:.6f} nmi={doc['nmi']:.6f}")
     return 0
 
@@ -263,8 +258,8 @@ def cmd_gen_synth(cfg: ExperimentConfig) -> int:
     if spec["type"] != "synthetic":
         raise ConfigurationError("gen-synth requires a synthetic dataset spec")
     cfg = dataclasses.replace(cfg, dataset=spec)  # checks the spec as typed
-    ds = _load_dataset(cfg)
-    out = _out_dir(cfg.out)
+    ds = cfg.dataset_loader()()
+    out = _out_dir(cfg.out, "data.csv", "metadata.json")
     data.save_csv(out / "data.csv", ds.x, ds.labels)
     meta = {k: v for k, v in ds.meta.items() if k != "latent"}
     _write(out / "metadata.json", _json_dumps({"config": cfg.to_dict(), "dataset": meta}))

@@ -11,16 +11,6 @@ from .core import BATCH_MODES, STRATEGIES, DekmConfig
 from .errors import ConfigurationError, check_int, check_real
 
 
-# the file paths each file-backed dataset type requires
-_PATH_KEYS = {"csv": ("path",), "idx": ("images", "labels")}
-# every key each dataset type reads; any other key is a typo
-_DATASET_KEYS = {
-    "synthetic": {"type", "k", "per_cluster_n", "latent_dim", "ambient_dim", "separation", "seed"},
-    "csv": {"type", "path", "has_labels"},
-    "idx": {"type", "images", "labels"},
-}
-
-
 # CLI flag -> (the config key it sets, its argparse keywords); a "dekm."
 # key is a DekmConfig field. Each subcommand parses the flags it reads
 # (cli.COMMANDS).
@@ -83,43 +73,20 @@ class ExperimentConfig:
                 self.dekm_config(self.seed)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"dekm config: {exc}") from exc
-        kind = self.dataset.get("type")
-        if not isinstance(kind, (str, type(None))):
-            raise ConfigurationError(f"dataset: type must be synthetic, csv or idx, got {kind!r}")
-        unknown = set(self.dataset) - _DATASET_KEYS.get(kind, set(self.dataset))
-        if unknown:
-            raise ConfigurationError(f"unknown dataset keys for type {kind}: {sorted(unknown)}")
-        if kind == "synthetic":
-            try:
-                data.check_synthetic(**self.synthetic_args())
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"dataset: {exc}") from exc
-        for key in _PATH_KEYS.get(kind, ()):
-            if not isinstance(self.dataset.get(key), str):
-                raise ConfigurationError(
-                    f"dataset: type {kind} needs {key} as a path string, "
-                    f"got {self.dataset.get(key)!r}"
-                )
-        if kind == "csv" and not isinstance(self.dataset.get("has_labels", False), bool):
-            raise ConfigurationError(
-                f"dataset: has_labels must be true or false, got {self.dataset['has_labels']!r}"
-            )
+        if "type" in self.dataset:  # an untyped spec is checked where it is read
+            self.dataset_loader()
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def synthetic_args(self) -> dict:
-        """``gen_synthetic`` arguments from the ``dataset`` spec, defaults
-        filled in."""
-        spec = self.dataset
-        return {
-            "k": spec.get("k", self.dekm.get("k", 4)),
-            "per_cluster_n": spec.get("per_cluster_n", 500),
-            "latent_dim": spec.get("latent_dim", 2),
-            "ambient_dim": spec.get("ambient_dim", 10),
-            "separation": spec.get("separation", 5.0),
-            "seed": spec.get("seed", self.seed),
-        }
+    def dataset_loader(self):
+        """The zero-argument call that loads ``dataset``, as checked by
+        ``data.dataset_loader``; a synthetic spec falls back on ``dekm.k``
+        (else 4) and ``seed``."""
+        try:
+            return data.dataset_loader(self.dataset, self.dekm.get("k", 4), self.seed)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"dataset: {exc}") from exc
 
     def dekm_config(self, seed: int, **overrides) -> DekmConfig:
         if "k" not in self.dekm:

@@ -245,3 +245,44 @@ def gen_synthetic(
             "latent": latent,
         },
     )
+
+
+# the keys each dataset type reads besides "type"; any other key is a typo
+_SPEC_KEYS = {
+    "synthetic": ("k", "per_cluster_n", "latent_dim", "ambient_dim", "separation", "seed"),
+    "csv": ("path", "has_labels"),
+    "idx": ("images", "labels"),
+}
+_SYNTHETIC_DEFAULTS = {"per_cluster_n": 500, "latent_dim": 2, "ambient_dim": 10, "separation": 5.0}
+
+
+def dataset_loader(spec: dict, k, seed):
+    """Check a dataset spec and return the zero-argument call that loads it.
+    Its ``type`` (synthetic, csv or idx) decides the keys it may hold, and
+    ``k`` and ``seed`` are a synthetic spec's fallbacks. Any fault is a
+    ``ConfigurationError``."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"a dataset spec must be a mapping, got {spec!r}")
+    kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ConfigurationError(f"type must be synthetic, csv or idx, got {kind!r}")
+    unknown = set(spec) - {"type", *_SPEC_KEYS[kind]}
+    if unknown:
+        raise ConfigurationError(f"unknown keys for type {kind}: {sorted(unknown, key=str)}")
+    if kind == "synthetic":
+        args = {"k": k, **_SYNTHETIC_DEFAULTS, "seed": seed, **spec}
+        del args["type"]
+        check_synthetic(**args)
+        return lambda: gen_synthetic(**args)
+    for key in _SPEC_KEYS[kind]:
+        if key != "has_labels" and not isinstance(spec.get(key), str):
+            raise ConfigurationError(
+                f"type {kind} needs {key} as a path string, got {spec.get(key)!r}"
+            )
+    if kind == "idx":
+        images, labels = spec["images"], spec["labels"]
+        return lambda: load_idx(images, labels)
+    path, has_labels = spec["path"], spec.get("has_labels", False)
+    if not isinstance(has_labels, bool):
+        raise ConfigurationError(f"has_labels must be true or false, got {has_labels!r}")
+    return lambda: load_csv(path, has_labels)

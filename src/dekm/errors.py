@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the value checks that
 raise them."""
 
-import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def check_real(name: str, value, positive: bool) -> None:
     ok = (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max  # False for nan, inf and 10**400
         and (value > 0 if positive else value >= 0)
     )
     if not ok:

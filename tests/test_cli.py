@@ -1,6 +1,7 @@
 import base64
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,14 +540,17 @@ def test_out_naming_a_file_exits_2_without_a_traceback(small_config, capsys, com
 @pytest.mark.parametrize(
     "command, blocked",
     [("eval", "metrics.json"), ("run", "results.json"), ("pretrain", "checkpoint.json"),
-     ("gen-synth", "data.csv")],
+     ("gen-synth", "data.csv"), ("ablate", "ablation.csv")],
 )
 def test_an_output_file_that_cannot_be_opened_exits_2_without_a_traceback(
-    small_config, capsys, command, blocked
+    small_config, monkeypatch, capsys, command, blocked
 ):
+    # checked before any training: nothing is pretrained and no file written
     cfg_path, tmp = small_config
     out = tmp / "o"
     (out / blocked).mkdir(parents=True)
+    pretrained = []
+    monkeypatch.setattr(cli.ae, "pretrain", lambda *a, **kw: pretrained.append(a))
     if command == "eval":
         labels = tmp / "labels.txt"
         labels.write_text("0\n1\n")
@@ -557,6 +561,8 @@ def test_an_output_file_that_cannot_be_opened_exits_2_without_a_traceback(
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(out / blocked) in err
     assert "Traceback" not in err
+    assert not pretrained
+    assert [p.name for p in out.iterdir()] == [blocked]
 
 
 # flag -> (its value on the command line, the config key it sets, the value
@@ -618,3 +624,12 @@ def test_each_subcommand_parses_only_the_flags_it_reads(
     assert exc.value.code == 2
     assert _option(flag) in capsys.readouterr().err
     assert not seen
+
+
+def test_the_readme_table_lists_the_flags_each_subcommand_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` +\| (`--[^`]*`) +\|$", readme, re.MULTILINE)
+    table = {command: cell.strip("`").split() for command, cell in rows}
+    assert table == {
+        command: [_option(flag) for flag in flags] for command, (_, flags) in cli.COMMANDS.items()
+    }

@@ -92,6 +92,10 @@ CASES = {
     "run_dekm_config_not_a_dekm_config": (
         ConfigurationError, lambda: core.run_dekm(ae.xavier_init([3, 2], 0), H, {"k": 2}),
     ),
+    "model_flat_a_list": (DimensionError, lambda: ae.AutoencoderModel([3, 2], [0.0] * 17)),
+    "model_dims_none": (ConfigurationError, lambda: ae.AutoencoderModel(None, np.zeros(17))),
+    "model_dims_an_int": (ConfigurationError, lambda: ae.AutoencoderModel(5, np.zeros(17))),
+    "lr_beyond_float_range": (ConfigurationError, lambda: core.DekmConfig(k=2, lr=10**400)),
 }
 
 
