@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import open_output
+from .data import open_input, write_text
 from .errors import (
     ConfigurationError, DimensionError, DivergenceError, FormatError, NumericError,
     check_int, check_matrix, check_real,
@@ -390,8 +390,7 @@ def save_checkpoint(path, m: AutoencoderModel, meta: dict | None = None) -> None
         text = json.dumps(doc)
     except (TypeError, ValueError) as exc:  # ValueError: a circular reference
         raise ConfigurationError(f"checkpoint meta is not JSON-encodable: {exc}") from exc
-    with open_output(path) as f:
-        f.write(text)
+    write_text(path, text)
 
 
 def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
@@ -399,13 +398,11 @@ def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
     be opened is a ``ConfigurationError``; one that is not a well-formed
     checkpoint, or whose arrays do not fit its ``dims`` or hold nan/inf, is a
     ``FormatError``."""
-    try:
-        with open(path) as f:
+    with open_input(path, what="checkpoint") as f:
+        try:
             doc = json.load(f)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise FormatError(f"{path}: not a JSON checkpoint: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"{path}: not a JSON checkpoint: {exc}") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version!r}")

@@ -105,11 +105,11 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     by the flag names in FLAGS; a None value sets nothing."""
     doc: dict = {}
     if path is not None:
-        try:
-            with open(path) as f:
+        with data.open_input(path, what="config") as f:
+            try:
                 doc = json.load(f)
-        except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
-            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config root must be an object, got {type(doc).__name__}")
 

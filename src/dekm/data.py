@@ -3,8 +3,10 @@ synthetic cluster generator for desk-scale experiments."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -30,13 +32,14 @@ class Dataset:
         return self.x.shape[1]
 
 
-def _open_input(path, *args, **kwargs):
-    """``open`` for an input file: one that cannot be opened is a
-    ``ConfigurationError``."""
+def open_input(path, mode="r", what="file"):
+    """``open`` for a file the package reads, as UTF-8 unless ``mode`` is
+    binary. One that cannot be opened (missing, a directory in its place, a
+    NUL byte in its path) is a ``ConfigurationError`` naming it."""
     try:
-        return open(path, *args, **kwargs)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def open_output(path):
@@ -44,14 +47,36 @@ def open_output(path):
     directory in its place, say) is a ``ConfigurationError``."""
     try:
         return open(path, "w")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
-def text_lines(path):
+def write_text(path, text: str) -> None:
+    with open_output(path) as f:
+        f.write(text)
+
+
+def output_dir(path, *names) -> Path:
+    """Create the output directory ``path`` and check that each file in
+    ``names`` can be written there, creating or truncating none. A fault (a
+    file or directory in the way, a NUL byte) is a ``ConfigurationError``."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+    for file in (path / name for name in names):
+        if file.is_dir():
+            raise ConfigurationError(f"cannot write {file}: a directory is in its place")
+        if not os.access(file if file.exists() else path, os.W_OK):
+            raise ConfigurationError(f"cannot write {file}: permission denied")
+    return path
+
+
+def _text_lines(path):
     """Yield ``(line number, line)`` for each line of a UTF-8 text file.
     Undecodable bytes are a ``FormatError`` naming the file."""
-    with _open_input(path, encoding="utf-8") as f:
+    with open_input(path) as f:
         try:
             yield from enumerate(f, start=1)
         except UnicodeDecodeError as exc:
@@ -68,16 +93,15 @@ def _read_exact(f, count, path):
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-layout IDX image/label pair. Pixels are flattened
     row-major and scaled into [0, 1]."""
-    with _open_input(images_path, "rb") as f:
+    with open_input(images_path, "rb") as f, open_input(labels_path, "rb") as g:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad magic 0x{magic:08x}")
         raw = _read_exact(f, n * rows * cols, images_path)
-    with _open_input(labels_path, "rb") as f:
-        magic, n_lab = struct.unpack(">II", _read_exact(f, 8, labels_path))
+        magic, n_lab = struct.unpack(">II", _read_exact(g, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"{labels_path}: bad magic 0x{magic:08x}")
-        raw_labels = _read_exact(f, n_lab, labels_path)
+        raw_labels = _read_exact(g, n_lab, labels_path)
     if n != n_lab:
         raise FormatError(f"image count {n} != label count {n_lab}")
     x = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols).astype(np.float64)
@@ -98,7 +122,7 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
     linenos: list[int] = []
     label_cells: list[str] = []
     width = None
-    for lineno, line in text_lines(path):
+    for lineno, line in _text_lines(path):
         line = line.strip()
         if not line:
             continue
@@ -128,30 +152,40 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
     if has_labels_column:
         if a.shape[1] < 2:
             raise FormatError(f"{path}: label column requested but only one column present")
-        labels = [int64_label(c) for c in label_cells]
-        if None in labels:
-            i = labels.index(None)
-            raise FormatError(
-                f"{path}:{linenos[i]}: column {a.shape[1]}: "
-                f"label {float(a[i, -1])} is not a 64-bit integer"
-            )
+        where = [f"{path}:{lineno}: column {a.shape[1]}" for lineno in linenos]
+        labels = [_int64_label(c, w) for c, w in zip(label_cells, where)]
         return Dataset(x=a[:, :-1], labels=np.array(labels, dtype=np.int64), name="csv")
     return Dataset(x=a, name="csv")
 
 
-def int64_label(cell: str) -> int | None:
+def _int64_label(cell: str, where: str) -> int:
     """The 64-bit integer a label cell holds, read exactly (not through a
     float): an integer literal, or a number with an integral value such as
-    ``1.0``. None for any other number; ``ValueError`` if ``cell`` is not a
-    number."""
+    ``1.0``. Any other cell is a ``FormatError`` that starts with ``where``."""
     try:
         v = int(cell)
     except ValueError:
-        f = float(cell)
-        if not f.is_integer():  # also nan and inf
-            return None
-        v = int(f)
-    return v if abs(v) < 2**63 else None
+        try:
+            f = float(cell)
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+        v = int(f) if f.is_integer() else None  # nan and inf are not integers
+    if v is None or abs(v) >= 2**63:
+        raise FormatError(f"{where}: label {float(cell)} is not a 64-bit integer")
+    return v
+
+
+def load_labels(path) -> np.ndarray:
+    """Read a label file: the first cell of each non-blank line, one 64-bit
+    integer each, read as ``load_csv`` reads its label column."""
+    labels = [
+        _int64_label(line.split(",")[0].strip(), f"{path}:{lineno}")
+        for lineno, line in _text_lines(path)
+        if line.strip()
+    ]
+    if not labels:
+        raise ConfigurationError(f"{path}: no labels")
+    return np.array(labels, dtype=int)
 
 
 def _is_number(s: str) -> bool:
@@ -177,7 +211,8 @@ def save_csv(path, x: np.ndarray, labels=None, header: str = "") -> None:
 def check_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed) -> None:
     """Raise ``ConfigurationError`` unless the ``gen_synthetic`` arguments
     are valid: positive integer sizes, ``ambient_dim >= latent_dim``, a
-    finite ``separation > 0`` and an integer ``seed >= 0``."""
+    finite ``separation > 0``, an integer ``seed >= 0``, and no array larger
+    than numpy can hold."""
     for name, value in (
         ("k", k),
         ("per_cluster_n", per_cluster_n),
@@ -190,6 +225,13 @@ def check_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed)
     if ambient_dim < latent_dim:
         raise ConfigurationError(
             f"ambient_dim {ambient_dim} must be >= latent_dim {latent_dim}"
+        )
+    # its largest float64 arrays, sized in Python ints, which cannot wrap
+    size = int(k) * max(int(per_cluster_n) * int(ambient_dim), int(k) * int(latent_dim))
+    if 8 * size > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            "sizes too large: a (k * per_cluster_n, ambient_dim) or (k, k, latent_dim) "
+            "array exceeds numpy's limit"
         )
 
 

@@ -383,6 +383,24 @@ def test_pretrain_rejects_a_checkpoint(small_config, capsys, where):
     assert not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ablate", "pretrain"])
+def test_an_empty_checkpoint_path_is_read_like_any_other(
+    small_config, monkeypatch, capsys, command
+):
+    cfg_path, tmp = small_config
+    cfg = json.loads(cfg_path.read_text())
+    cfg["checkpoint"] = ""
+    cfg_path.write_text(json.dumps(cfg))
+    pretrained = []
+    monkeypatch.setattr(cli.ae, "pretrain", lambda *a, **kw: pretrained.append(a))
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "checkpoint" in err
+    assert "Traceback" not in err
+    assert not pretrained
+    assert not (tmp / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -399,7 +417,9 @@ def test_pretrain_rejects_a_checkpoint(small_config, capsys, where):
         ("embedding_dim", -2),
         ("dekm", [1]),
         ("checkpoint", 5),
+        ("checkpoint", "ck\x00.json"),
         ("out", 5),
+        ("out", "o\x00ut"),
         ("dekm.max_outer_iters", -1),
         ("dekm.k", "2"),
         ("dekm.lr", "x"),
@@ -451,6 +471,9 @@ BOUNDARY_CASES = [
     ("non_utf8_eval_labels", 1, "bad.csv"),
     ("non_utf8_config", 2, "bad.json"),
     ("type_not_a_string", 2, "type"),
+    ("nul_in_csv_path", 2, "nul\x00.csv"),
+    ("nul_in_idx_images", 2, "nul\x00.idx"),
+    ("nul_in_idx_labels", 2, "nul\x00.idx"),
 ]
 
 
@@ -473,6 +496,9 @@ def test_bad_dataset_specs_and_unreadable_inputs_fail_at_the_boundary(
         "csv_is_a_directory": {"type": "csv", "path": str(tmp / "a_dir")},
         "non_utf8_csv": {"type": "csv", "path": str(bad)},
         "type_not_a_string": {"type": ["csv"], "path": str(good)},
+        "nul_in_csv_path": {"type": "csv", "path": str(tmp / "nul\x00.csv")},
+        "nul_in_idx_images": {"type": "idx", "images": str(tmp / "nul\x00.idx"), "labels": str(good)},
+        "nul_in_idx_labels": {"type": "idx", "images": str(good), "labels": str(tmp / "nul\x00.idx")},
     }
     if case in specs:
         cfg = json.loads(cfg_path.read_text())

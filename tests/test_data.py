@@ -1,3 +1,4 @@
+import ast
 import struct
 import tempfile
 import tracemalloc
@@ -241,6 +242,9 @@ def test_gen_synthetic_builds_x_in_place():
         ("separation", 0.0),
         ("seed", -1),
         ("seed", 1.5),
+        pytest.param("k", 10**400, id="k-10**400"),
+        pytest.param("per_cluster_n", 2**62, id="per_cluster_n-2**62"),
+        pytest.param("ambient_dim", 2**62, id="ambient_dim-2**62"),
     ],
 )
 def test_gen_synthetic_rejects_bad_values(key, value):
@@ -260,3 +264,24 @@ def test_load_csv_rejects_non_integral_labels(tmp_path):
         data.load_csv(p, has_labels_column=True)
     p.write_text("1.0,2.0,0.0\n3.0,4.0,1.0\n")
     assert np.array_equal(data.load_csv(p, has_labels_column=True).labels, [0, 1])
+
+
+def test_only_data_touches_the_filesystem():
+    # every path is opened, created and checked in dekm.data, so a bad path
+    # fails one way wherever it comes from
+    calls = []
+    for path in Path(data.__file__).parent.glob("*.py"):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (
+                (isinstance(f, ast.Name) and f.id == "open")
+                or (isinstance(f, ast.Attribute) and f.attr == "mkdir")
+                or (isinstance(f, ast.Attribute) and f.attr == "access"
+                    and isinstance(f.value, ast.Name) and f.value.id == "os")
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
