@@ -135,6 +135,9 @@ def _forward(ws, bs, x):
 # Activation bytes one block of a full-data forward pass may hold in its
 # widest layer; 1048 rows at the paper's 2000-wide layer.
 FORWARD_BLOCK_BYTES = 16 << 20
+# Rows one block may hold however narrow the layers: a 64-wide encoder
+# would otherwise take 32768 rows, and so the whole data set, at once.
+FORWARD_BLOCK_ROWS = 2048
 
 
 def _output(ws, bs, x):
@@ -142,11 +145,13 @@ def _output(ws, bs, x):
     soon as the next layer has been computed from it.
 
     Inputs of more rows than one block (FORWARD_BLOCK_BYTES of the widest
-    activation) are pushed through in row blocks written into one result,
-    so memory does not grow with the row count. Each block's rows equal
-    ``_output`` on that slice; since BLAS results depend on the row count,
-    they may differ from an unblocked pass by a few ulp."""
-    rows = max(1, FORWARD_BLOCK_BYTES // (8 * max(w.shape[1] for w in ws)))
+    activation, and at most FORWARD_BLOCK_ROWS rows) are pushed through in
+    row blocks written into one result, so memory does not grow with the
+    row count. Each block's rows equal ``_output`` on that slice; since BLAS
+    results depend on the row count, they may differ from an unblocked pass
+    by a few ulp."""
+    widest = max(w.shape[1] for w in ws)
+    rows = max(1, min(FORWARD_BLOCK_ROWS, FORWARD_BLOCK_BYTES // (8 * widest)))
     n, last = x.shape[0], len(ws) - 1
     if n > rows:
         out = np.empty((n, ws[-1].shape[1]))

@@ -140,12 +140,13 @@ def greedy_targets(
     toward its centroid c along the eigenvector u = ``t.v[dim]`` only:
     h + ((c - h) . u) u, which replaces coordinate ``dim`` of y = V h since V
     is orthonormal. Random-dimension strategies draw ``dim`` once, from
-    ``rng``."""
-    h, per_point_cent = km.assigned_centroids(h, r)
+    ``rng``. The targets are built in the centroid gather, in the operation
+    order of that expression, so they are bit-identical to it."""
+    h, targets = km.assigned_centroids(h, r)
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     if strategy == "all_dims_H":
-        return per_point_cent
+        return targets
     if strategy == "last_dim_Y":
         dim = h.shape[1] - 1
     else:
@@ -153,18 +154,22 @@ def greedy_targets(
             raise ConfigurationError(f"strategy {strategy!r} needs an rng")
         dim = int(rng.integers(h.shape[1]))
     if strategy == "random_dim_H":
-        targets = h.copy()
-        targets[:, dim] = per_point_cent[:, dim]
+        column = targets[:, dim].copy()
+        targets[...] = h
+        targets[:, dim] = column
         return targets
     u = t.v[dim]
-    return h + np.outer((per_point_cent - h) @ u, u)
+    targets -= h
+    np.multiply((targets @ u)[:, None], u, out=targets)  # np.outer's product
+    targets += h
+    return targets
 
 
 def greedy_loss(h: np.ndarray, targets: np.ndarray) -> float:
     """Current value of the greedy objective, sum ||h - target||^2."""
     h = check_matrix("h", h)
     diff = h - check_matrix("targets", targets, *h.shape)
-    return float(np.sum(diff * diff))
+    return float(np.sum(np.multiply(diff, diff, out=diff)))
 
 
 def representation_step(

@@ -35,11 +35,12 @@ class Dataset:
 def open_input(path, mode="r", what="file"):
     """``open`` for a file the package reads, as UTF-8 unless ``mode`` is
     binary. One that cannot be opened (missing, a directory in its place, a
-    NUL byte in its path) is a ``ConfigurationError`` naming it."""
+    NUL byte in its path) is a ``ConfigurationError`` naming it by its
+    ``repr``, as ``open_output`` and ``output_dir`` do, so a NUL reads ``\\x00``."""
     try:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
-        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read {what} {str(path)!r}: {exc}") from exc
 
 
 def open_output(path):
@@ -48,7 +49,7 @@ def open_output(path):
     try:
         return open(path, "w")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
-        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def write_text(path, text: str) -> None:
@@ -64,12 +65,12 @@ def output_dir(path, *names) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
-        raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot create output directory {str(path)!r}: {exc}") from exc
     for file in (path / name for name in names):
         if file.is_dir():
-            raise ConfigurationError(f"cannot write {file}: a directory is in its place")
+            raise ConfigurationError(f"cannot write {str(file)!r}: a directory is in its place")
         if not os.access(file if file.exists() else path, os.W_OK):
-            raise ConfigurationError(f"cannot write {file}: permission denied")
+            raise ConfigurationError(f"cannot write {str(file)!r}: permission denied")
     return path
 
 

@@ -183,7 +183,8 @@ def assigned_centroids(h: np.ndarray, r: ClusterResult) -> tuple[np.ndarray, np.
 
 
 def within_class_scatter(h: np.ndarray, r: ClusterResult) -> np.ndarray:
-    """S_w = sum over clusters of (h - mu)(h - mu)^T; trace equals inertia."""
-    h, member_centroids = assigned_centroids(h, r)
-    centered = h - member_centroids
+    """S_w = sum over clusters of (h - mu)(h - mu)^T; trace equals inertia.
+    The rows are centred in the centroid gather itself."""
+    h, centered = assigned_centroids(h, r)
+    np.subtract(h, centered, out=centered)
     return centered.T @ centered

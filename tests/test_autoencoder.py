@@ -757,3 +757,39 @@ def test_encode_memory_does_not_grow_with_rows():
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes + h.nbytes + 1.5 * ae.FORWARD_BLOCK_BYTES
+
+
+@pytest.mark.parametrize(
+    "dims, rows",
+    [
+        ([784, 500, 500, 2000, 10], 1048),  # paper scale: its bits depend on this
+        ([32, 64, 64, 32], 2048),  # narrow: capped at FORWARD_BLOCK_ROWS
+        ([32, 1024, 10], 2048),
+    ],
+)
+def test_forward_block_rows(monkeypatch, dims, rows):
+    m = ae.xavier_init(dims, seed=0)
+    x = np.zeros((rows + 5, dims[0]))
+    seen, output = [], ae._output
+
+    def recorded(ws, bs, a):
+        seen.append(a.shape[0])
+        return output(ws, bs, a)
+
+    monkeypatch.setattr(ae, "_output", recorded)
+    ae.encode(m, x)
+    assert seen == [rows + 5, rows, 5]
+
+
+def test_narrow_encode_memory_does_not_grow_with_rows():
+    # 8192 rows through 64-wide layers: 4 MiB an activation unblocked, and
+    # two are alive at once; a 2048-row block holds 1 MiB
+    m = ae.xavier_init([32, 64, 64, 32], seed=0)
+    x = np.random.default_rng(0).normal(size=(8192, 32))
+    tracemalloc.start()
+    try:
+        h = ae.encode(m, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + h.nbytes + 1.5 * 2048 * 64 * 8

@@ -471,9 +471,9 @@ BOUNDARY_CASES = [
     ("non_utf8_eval_labels", 1, "bad.csv"),
     ("non_utf8_config", 2, "bad.json"),
     ("type_not_a_string", 2, "type"),
-    ("nul_in_csv_path", 2, "nul\x00.csv"),
-    ("nul_in_idx_images", 2, "nul\x00.idx"),
-    ("nul_in_idx_labels", 2, "nul\x00.idx"),
+    ("nul_in_csv_path", 2, "nul\\x00.csv"),
+    ("nul_in_idx_images", 2, "nul\\x00.idx"),
+    ("nul_in_idx_labels", 2, "nul\\x00.idx"),
 ]
 
 
@@ -516,6 +516,24 @@ def test_bad_dataset_specs_and_unreadable_inputs_fail_at_the_boundary(
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["dataset.path", "checkpoint", "out"])
+def test_a_nul_byte_in_a_path_is_shown_escaped(small_config, capsys, key):
+    # a raw NUL on stderr is invisible; the message shows the path's repr
+    cfg_path, tmp = small_config
+    cfg = json.loads(cfg_path.read_text())
+    bad = str(tmp / "a\x00b")
+    if key == "dataset.path":
+        cfg["dataset"] = {"type": "csv", "path": bad}
+    else:
+        cfg[key] = bad
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(bad) in err
+    assert "\\x00" in err and "\x00" not in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "ablate"])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,67 @@ def test_greedy_targets_match_the_y_space_rule(case):
             else:
                 assert np.max(np.abs(targets - ref)) <= 1e-13 * scale
                 assert abs(l4 - ref_l4) <= max(1e-13 * ref_l4, 1e-12 * res.inertia)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _reference_targets(h, res, ts, strategy, rng):
+    """Targets and l4 by the out-of-place formulas the in-place pass
+    replaced."""
+    per_point_cent = res.centroids[res.assignments]
+    if strategy == "all_dims_H":
+        targets = per_point_cent
+    else:
+        dim = h.shape[1] - 1 if strategy == "last_dim_Y" else int(rng.integers(h.shape[1]))
+        if strategy == "random_dim_H":
+            targets = h.copy()
+            targets[:, dim] = per_point_cent[:, dim]
+        else:
+            u = ts.v[dim]
+            targets = h + np.outer((per_point_cent - h) @ u, u)
+    diff = h - targets
+    return targets, float(np.sum(diff * diff))
+
+
+def test_pass_matches_out_of_place_formulas_bit_for_bit(rng):
+    # -0.0 entries in h and the centroids, and Fortran-ordered h
+    for trial in range(16):
+        n, e, k = int(rng.integers(2, 300)), int(rng.integers(1, 33)), int(rng.integers(1, 12))
+        h = rng.normal(size=(n, e)) * rng.uniform(0.1, 10.0)
+        h[rng.random(size=h.shape) < 0.1] = -0.0
+        c = rng.normal(size=(k, e))
+        c[rng.random(size=c.shape) < 0.2] = -0.0
+        if trial % 2:
+            h = np.asfortranarray(h)
+        res = km.ClusterResult(rng.integers(k, size=n), c.copy(), 0.0, 1)
+        s_w = km.within_class_scatter(h, res)
+        centered = h - c[res.assignments]
+        assert np.array_equal(_bits(s_w), _bits(centered.T @ centered))
+        ts = core.build_transform(s_w)
+        for i, strategy in enumerate(core.STRATEGIES):
+            targets = core.greedy_targets(h, ts, res, strategy, np.random.default_rng(i))
+            ref, ref_l4 = _reference_targets(h, res, ts, strategy, np.random.default_rng(i))
+            assert np.array_equal(_bits(targets), _bits(ref))
+            assert core.greedy_loss(h, targets) == ref_l4
+        assert np.array_equal(_bits(res.centroids), _bits(c))  # the gathers are copies
+
+
+def test_pass_keeps_at_most_two_embedding_sized_arrays():
+    # scatter, targets and loss each work in the one centroid gather; the
+    # out-of-place forms held three (n, e) arrays at once
+    n, e = 6400, 32
+    h = np.random.default_rng(0).normal(size=(n, e))
+    res = km.lloyd(h, e, h[:e].copy(), max_iter=3)
+    tracemalloc.start()
+    try:
+        ts = core.build_transform(km.within_class_scatter(h, res))
+        core.greedy_loss(h, core.greedy_targets(h, ts, res, "last_dim_Y"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * e * 8
 
 
 def test_representation_step_zero_loss_keeps_params(rng):
