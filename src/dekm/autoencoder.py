@@ -407,7 +407,7 @@ def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
         try:
             doc = json.load(f)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise FormatError(f"{path}: not a JSON checkpoint: {exc}") from exc
+            raise FormatError(f"{str(path)!r}: not a JSON checkpoint: {exc}") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version!r}")
@@ -422,13 +422,13 @@ def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
         _check_dims(dims)
         params = [[unpack(e) for e in doc[key]] for key in keys]
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
+        raise FormatError(f"{str(path)!r}: malformed checkpoint: {exc!r}") from exc
     shapes = [[a.shape for a in group] for group in params]
     if shapes != _param_groups(dims):
         raise FormatError(
-            f"{path}: parameter shapes {dict(zip(keys, shapes))} do not fit dims {dims}"
+            f"{str(path)!r}: parameter shapes {dict(zip(keys, shapes))} do not fit dims {dims}"
         )
     flat = np.concatenate([a.ravel() for group in params for a in group], dtype=np.float64)
     if not np.isfinite(flat).all():
-        raise FormatError(f"{path}: non-finite parameter values")
+        raise FormatError(f"{str(path)!r}: non-finite parameter values")
     return AutoencoderModel(dims, flat), doc.get("meta", {})

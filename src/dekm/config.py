@@ -109,7 +109,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             try:
                 doc = json.load(f)
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+                raise ConfigurationError(f"cannot read config {str(path)!r}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config root must be an object, got {type(doc).__name__}")
 

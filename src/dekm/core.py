@@ -189,10 +189,11 @@ def representation_step(
 
 def changed_fraction(prev_assignments, assignments) -> float:
     """Fraction of samples whose cluster changed, after Hungarian alignment
-    so a pure relabeling counts as zero change."""
-    prev = np.asarray(prev_assignments)
-    aligned = metrics.align_labels(prev, assignments)
-    return float(np.mean(aligned != prev))
+    so a pure relabeling counts as zero change: the points outside the best
+    one-to-one matching of clusters, counted without relabelling any."""
+    same = metrics.matched(prev_assignments, assignments)
+    n = len(prev_assignments)
+    return (n - same) / n
 
 
 def run_dekm(
@@ -260,5 +261,6 @@ def run_dekm(
         ae.train(lambda xb, tb: representation_step(model, xb, tb, adam, grad), [x, targets],
                  config.inner_steps, config.inner_batch_size,
                  None if config.batch_mode == "full_batch" else rng)
+        del h, targets  # not read again, so the next encode runs without them
     history.embedding = h
     return result, model, history

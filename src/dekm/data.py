@@ -81,13 +81,13 @@ def _text_lines(path):
         try:
             yield from enumerate(f, start=1)
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+            raise FormatError(f"{str(path)!r}: not UTF-8 text: {exc}") from exc
 
 
 def _read_exact(f, count, path):
     buf = f.read(count)
     if len(buf) != count:
-        raise FormatError(f"{path}: truncated, wanted {count} bytes, got {len(buf)}")
+        raise FormatError(f"{str(path)!r}: truncated, wanted {count} bytes, got {len(buf)}")
     return buf
 
 
@@ -97,11 +97,11 @@ def load_idx(images_path, labels_path) -> Dataset:
     with open_input(images_path, "rb") as f, open_input(labels_path, "rb") as g:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad magic 0x{magic:08x}")
+            raise FormatError(f"{str(images_path)!r}: bad magic 0x{magic:08x}")
         raw = _read_exact(f, n * rows * cols, images_path)
         magic, n_lab = struct.unpack(">II", _read_exact(g, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad magic 0x{magic:08x}")
+            raise FormatError(f"{str(labels_path)!r}: bad magic 0x{magic:08x}")
         raw_labels = _read_exact(g, n_lab, labels_path)
     if n != n_lab:
         raise FormatError(f"image count {n} != label count {n_lab}")
@@ -132,28 +132,28 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
             width = len(cells)
         elif len(cells) != width:
             raise FormatError(
-                f"{path}:{lineno}: ragged row, {len(cells)} cells, expected {width}"
+                f"{str(path)!r}:{lineno}: ragged row, {len(cells)} cells, expected {width}"
             )
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             bad = next(i for i, c in enumerate(cells) if not _is_number(c))
-            raise FormatError(f"{path}:{lineno}: column {bad + 1}: {exc}") from exc
+            raise FormatError(f"{str(path)!r}:{lineno}: column {bad + 1}: {exc}") from exc
         linenos.append(lineno)
         label_cells.append(cells[-1])
     if not rows:
-        raise FormatError(f"{path}: no data rows")
+        raise FormatError(f"{str(path)!r}: no data rows")
     a = np.array(rows, dtype=np.float64)
     nonfinite = np.argwhere(~np.isfinite(a))
     if nonfinite.size:
         i, j = nonfinite[0]
         raise FormatError(
-            f"{path}:{linenos[i]}: column {j + 1}: non-finite value {float(a[i, j])}"
+            f"{str(path)!r}:{linenos[i]}: column {j + 1}: non-finite value {float(a[i, j])}"
         )
     if has_labels_column:
         if a.shape[1] < 2:
-            raise FormatError(f"{path}: label column requested but only one column present")
-        where = [f"{path}:{lineno}: column {a.shape[1]}" for lineno in linenos]
+            raise FormatError(f"{str(path)!r}: label column requested but only one column present")
+        where = [f"{str(path)!r}:{lineno}: column {a.shape[1]}" for lineno in linenos]
         labels = [_int64_label(c, w) for c, w in zip(label_cells, where)]
         return Dataset(x=a[:, :-1], labels=np.array(labels, dtype=np.int64), name="csv")
     return Dataset(x=a, name="csv")
@@ -180,12 +180,12 @@ def load_labels(path) -> np.ndarray:
     """Read a label file: the first cell of each non-blank line, one 64-bit
     integer each, read as ``load_csv`` reads its label column."""
     labels = [
-        _int64_label(line.split(",")[0].strip(), f"{path}:{lineno}")
+        _int64_label(line.split(",")[0].strip(), f"{str(path)!r}:{lineno}")
         for lineno, line in _text_lines(path)
         if line.strip()
     ]
     if not labels:
-        raise ConfigurationError(f"{path}: no labels")
+        raise ConfigurationError(f"{str(path)!r}: no labels")
     return np.array(labels, dtype=int)
 
 

@@ -146,13 +146,27 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return rows, cols, float(cost[rows, cols].sum())
 
 
-def acc(g, c) -> float:
-    """Clustering accuracy: matched fraction under the best one-to-one
-    mapping between cluster labels and ground-truth labels."""
+def matched(g, c) -> int:
+    """How many points agree under the best one-to-one mapping between the
+    labels of ``c`` and those of ``g``."""
     g, c = _check_pair(g, c)
     table = contingency(g, c)  # rows g, cols c
     _, _, total = hungarian(-table.astype(np.float64).T)  # maximize matches
-    return -total / len(g)
+    return int(-total)  # a sum of counts below 2**53, so exact
+
+
+def acc(g, c) -> float:
+    """Clustering accuracy: matched fraction under the best one-to-one
+    mapping between cluster labels and ground-truth labels."""
+    return matched(g, c) / len(g)
+
+
+def _unused(n: int, used: np.ndarray) -> np.ndarray:
+    """``np.setdiff1d(np.arange(n), used)`` without its ``np.unique``,
+    which imports ``numpy.ma``."""
+    free = np.ones(n, dtype=bool)
+    free[used[(used >= 0) & (used < n)]] = False
+    return np.flatnonzero(free)
 
 
 def align_labels(reference, labels) -> np.ndarray:
@@ -166,11 +180,11 @@ def align_labels(reference, labels) -> np.ndarray:
     rows, cols, _ = hungarian(-table.astype(np.float64).T)
     out_map = np.empty(len(lab_vals), dtype=ref_vals.dtype)
     out_map[rows] = ref_vals[cols]
-    unmatched = np.setdiff1d(np.arange(len(lab_vals)), rows)
+    unmatched = _unused(len(lab_vals), rows)
     if ref_vals.max() <= np.iinfo(np.int64).max - len(unmatched):
-        fresh = ref_vals.max() + 1 + np.arange(len(unmatched))
+        fresh = ref_vals.max() + np.arange(1, len(unmatched) + 1)  # no overflow when empty
     else:  # of len(ref_vals) + len(unmatched) labels, enough are free
-        fresh = np.setdiff1d(np.arange(len(ref_vals) + len(unmatched)), ref_vals)
+        fresh = _unused(len(ref_vals) + len(unmatched), ref_vals)
     out_map[unmatched] = fresh[: len(unmatched)]
     return out_map[li]
 

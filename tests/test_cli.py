@@ -253,7 +253,7 @@ def test_eval_rejects_non_integral_labels(tmp_path, capsys, cell):
     c.write_text("0\n1\n")
     assert cli.main(["eval", str(g), str(c), "--out", str(tmp_path / "m")]) == 1
     err = capsys.readouterr().err
-    assert "g.txt:3" in err
+    assert "g.txt':3" in err
     assert "Traceback" not in err
 
 
@@ -533,6 +533,20 @@ def test_a_nul_byte_in_a_path_is_shown_escaped(small_config, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(bad) in err
     assert "\\x00" in err and "\x00" not in err
+    assert "Traceback" not in err
+
+
+def test_a_newline_in_a_csv_path_keeps_the_format_error_on_one_line(small_config, capsys):
+    cfg_path, tmp = small_config
+    bad = tmp / "a\nb.csv"
+    bad.write_text("0.5,x\n")
+    cfg = json.loads(cfg_path.read_text())
+    cfg["dataset"] = {"type": "csv", "path": str(bad)}
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{str(bad)!r}:1: column 2" in err
     assert "Traceback" not in err
 
 

@@ -335,6 +335,24 @@ def test_pass_keeps_at_most_two_embedding_sized_arrays():
     assert peak < 2.5 * n * e * 8
 
 
+def test_run_dekm_drops_the_last_pass_arrays_before_it_encodes():
+    # each pass drops the last pass's embedding and targets once the update
+    # is done: a measured peak of 3.6 (n, e) arrays, against 4.9 when both
+    # were held through the next pass's encode and k-means (5.5 when the
+    # stopping rule's first call also imported numpy.ma)
+    n, e = 6400, 32
+    ds = data.gen_synthetic(k=e, per_cluster_n=n // e, latent_dim=8, ambient_dim=e,
+                            separation=10.0, seed=1)
+    model = ae.xavier_init([e, 64, 64, e], seed=1)
+    tracemalloc.start()
+    try:
+        core.run_dekm(model, ds.x, core.DekmConfig(k=e, max_outer_iters=2, seed=1), ds.labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * e * 8
+
+
 def test_representation_step_zero_loss_keeps_params(rng):
     model = ae.xavier_init([6, 5, 4], seed=0)
     x = rng.normal(size=(10, 6))

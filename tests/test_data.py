@@ -111,10 +111,10 @@ def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
     p = tmp_path / "n.csv"
     # the blank line must not shift the reported line number
     p.write_text(f"1.0,2.0,0\n\n{cell},3.0,1\n")
-    with pytest.raises(FormatError, match=rf"n\.csv:3: column 1: non-finite value {cell}"):
+    with pytest.raises(FormatError, match=rf"n\.csv':3: column 1: non-finite value {cell}"):
         data.load_csv(p, has_labels_column=True)
     p.write_text(f"1.0,2.0,0\n4.0,3.0,{cell}\n")
-    with pytest.raises(FormatError, match="n.csv:2: column 3"):
+    with pytest.raises(FormatError, match="n.csv':2: column 3"):
         data.load_csv(p, has_labels_column=True)
 
 
@@ -159,7 +159,7 @@ def test_labels_are_read_exactly(tmp_path):
     labels = data.load_csv(p, has_labels_column=True).labels
     assert labels.tolist() == [2**53 + 1, 2**63 - 1, -3]
     p.write_text("0.5,9223372036854775808\n")
-    with pytest.raises(FormatError, match="big.csv:1: column 2"):
+    with pytest.raises(FormatError, match="big.csv':1: column 2"):
         data.load_csv(p, has_labels_column=True)
 
 
@@ -257,10 +257,10 @@ def test_gen_synthetic_rejects_bad_values(key, value):
 def test_load_csv_rejects_non_integral_labels(tmp_path):
     p = tmp_path / "l.csv"
     p.write_text("1.0,2.0,0\n\n3.0,4.0,1.5\n")
-    with pytest.raises(FormatError, match=r"l\.csv:3: column 3: label 1\.5 is not a 64-bit"):
+    with pytest.raises(FormatError, match=r"l\.csv':3: column 3: label 1\.5 is not a 64-bit"):
         data.load_csv(p, has_labels_column=True)
     p.write_text("1.0,2.0,0\n3.0,4.0,1e300\n")
-    with pytest.raises(FormatError, match=r"l\.csv:2: column 3: label 1e\+300"):
+    with pytest.raises(FormatError, match=r"l\.csv':2: column 3: label 1e\+300"):
         data.load_csv(p, has_labels_column=True)
     p.write_text("1.0,2.0,0.0\n3.0,4.0,1.0\n")
     assert np.array_equal(data.load_csv(p, has_labels_column=True).labels, [0, 1])

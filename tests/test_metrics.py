@@ -2,11 +2,13 @@ import itertools
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import dekm
@@ -195,6 +197,28 @@ def test_importing_the_cli_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_a_labelled_run_and_align_labels_import_no_numpy_ma():
+    # np.unique without indices, which np.setdiff1d calls (and np.isin on a
+    # wide label range), imports numpy.ma: about 1 MiB in every dekm process
+    code = textwrap.dedent("""
+        import sys
+        from dekm import autoencoder as ae, core, data, metrics
+        ds = data.gen_synthetic(k=3, per_cluster_n=20, latent_dim=2, ambient_dim=4,
+                                separation=5.0, seed=0)
+        model = ae.xavier_init([4, 8, 3], seed=0)
+        core.run_dekm(model, ds.x, core.DekmConfig(k=3, max_outer_iters=2), ds.labels)
+        metrics.align_labels([5, 5, 7, 7, 7, 7], [2, 2, 0, 0, 1, 3])
+        metrics.align_labels([2**63 - 1, 2**63 - 1, -2**63, -2**63], [0, 0, 1, 2])
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(dekm.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
+
+
 def test_hungarian_rejects_nonfinite():
     with pytest.raises(NumericError):
         metrics.hungarian(np.array([[1.0, np.inf], [0.0, 1.0]]))
@@ -243,6 +267,45 @@ def test_align_labels_does_not_overflow_past_the_largest_int64():
         aligned = metrics.align_labels(reference, labels)
         assert core.changed_fraction(reference, labels) == 0.25
     assert int(np.sum(~np.isin(aligned, reference))) == 1
+
+
+def _relabelled_changed_fraction(prev, cur):
+    return float(np.mean(metrics.align_labels(prev, cur) != np.asarray(prev)))
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "prev, cur",
+    [
+        ([0, 0, 1, 1, 2, 2], [2, 2, 0, 0, 1, 1]),  # a pure relabelling
+        ([0, 0, 1, 1, 2, 2], [2, 1, 0, 0, 1, 3]),  # an unmatched cluster
+        ([5, 5, 7, 7, 7, 7], [2, 2, 0, 0, 1, 3]),  # more clusters than labels
+        ([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1]),  # fewer clusters than labels
+        ([-7, -7, 3, 10**12, 10**12, -7], [4, 4, 4, -1, -1, 9]),  # negative, far apart
+        ([INT64.max, INT64.max, INT64.min, INT64.min], [0, 0, 1, 2]),  # no room past the max
+        ([INT64.max, 0, 0], [1, 0, 0]),  # every cluster matched at the largest label
+        ([INT64.min, INT64.max, 0, 1], [3, 3, 3, 3]),
+        ([3], [-3]),
+    ],
+)
+def test_changed_fraction_counts_what_relabelling_counts(prev, cur):
+    assert core.changed_fraction(prev, cur).hex() == _relabelled_changed_fraction(prev, cur).hex()
+
+
+def _label_vectors(n):
+    extremes = st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1, INT64.max])
+    alphabets = st.lists(st.integers(-3, 12) | extremes | st.integers(INT64.min, INT64.max),
+                         min_size=1, max_size=10, unique=True)
+    return alphabets.flatmap(lambda vals: st.lists(st.sampled_from(vals), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=st.integers(1, 60).flatmap(lambda n: st.tuples(_label_vectors(n), _label_vectors(n))))
+def test_changed_fraction_matches_relabelling_on_drawn_labels(pair):
+    prev, cur = pair
+    assert core.changed_fraction(prev, cur).hex() == _relabelled_changed_fraction(prev, cur).hex()
 
 
 def test_non_integral_labels_are_rejected():
