@@ -133,7 +133,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         "config": cfg.to_dict(),
         "runs": summaries,
         "aggregate": {"acc": agg("acc"), "nmi": agg("nmi"), "inertia": agg("inertia")},
-        "timing": {"per_run_seconds": timing, "total_seconds": sum(timing)},
+        "timing": {
+            "per_run_seconds": timing,
+            "total_seconds": sum(timing),
+            "per_run_phase_seconds": [history.phase_seconds for history, _ in runs],
+        },
     }
     data.write_text(out / "results.json", _json_dumps(results))
     data.write_text(out / "history.jsonl", history_text)
@@ -221,8 +225,7 @@ def cmd_gen_synth(cfg: ExperimentConfig) -> int:
     ds = cfg.dataset_loader()()
     out = data.output_dir(cfg.out, "data.csv", "metadata.json")
     data.save_csv(out / "data.csv", ds.x, ds.labels)
-    meta = {k: v for k, v in ds.meta.items() if k != "latent"}
-    data.write_text(out / "metadata.json", _json_dumps({"config": cfg.to_dict(), "dataset": meta}))
+    data.write_text(out / "metadata.json", _json_dumps({"config": cfg.to_dict(), "dataset": ds.meta}))
     print(f"wrote {out / 'data.csv'} ({ds.n} x {ds.d}) and {out / 'metadata.json'}")
     return 0
 

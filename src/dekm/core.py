@@ -30,6 +30,7 @@ from .errors import (
 
 STRATEGIES = ("last_dim_Y", "random_dim_Y", "random_dim_H", "all_dims_H")
 BATCH_MODES = ("mini_batch", "full_batch")
+PHASES = ("encode", "kmeans", "transform", "targets", "update", "metrics")
 
 
 @dataclass
@@ -90,6 +91,9 @@ class RunHistory:
     stopped_early: bool = False
     # the final pass's embedding, which its clustering was computed on
     embedding: np.ndarray | None = field(default=None, repr=False, compare=False)
+    updates: int = field(default=0, compare=False)  # passes that trained the encoder
+    # seconds per PHASES entry, summed over the run
+    phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def as_dicts(self) -> list[dict]:
         return [asdict(r) for r in self.records]
@@ -196,6 +200,20 @@ def changed_fraction(prev_assignments, assignments) -> float:
     return (n - same) / n
 
 
+class _PhaseClock:
+    """Adds the time since the last ``lap`` (or since it was made) to one of
+    the PHASES in ``seconds``."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._last
+        self._last = now
+
+
 def run_dekm(
     model: ae.AutoencoderModel,
     x: np.ndarray,
@@ -211,6 +229,7 @@ def run_dekm(
     iteration budget runs out. The last record has ``l4=None`` and holds
     the returned clustering; after a stop it copies the stopping pass's
     record (next ``iter``, ``seconds=0.0``) and no further pass runs.
+    The history also counts the encoder updates and the seconds per phase.
     Non-finite ``x`` and ``labels`` not one per row are rejected up front.
     """
     if not isinstance(config, DekmConfig):
@@ -227,17 +246,22 @@ def run_dekm(
     grad = ae.AutoencoderModel(model.dims, np.empty_like(model.flat))
     history = RunHistory()
     prev_assign = None
+    clock = _PhaseClock()
 
     for it in range(config.max_outer_iters + 1):
         t0 = time.perf_counter()
         h = ae.encode(model, x)
+        clock.lap("encode")
         init = km.kmeanspp_init(h, config.k, rng)
         result = km.lloyd(h, config.k, init, config.kmeans_max_iter, config.kmeans_tol)
+        clock.lap("kmeans")
         l4 = None
         if it < config.max_outer_iters:
             transform = build_transform(km.within_class_scatter(h, result))
+            clock.lap("transform")
             targets = greedy_targets(h, transform, result, config.strategy, rng)
             l4 = greedy_loss(h, targets)
+            clock.lap("targets")
 
         changed = None if prev_assign is None else changed_fraction(prev_assign, result.assignments)
         record = IterationRecord(
@@ -250,6 +274,7 @@ def run_dekm(
             seconds=time.perf_counter() - t0,
         )
         history.records.append(record)
+        clock.lap("metrics")
         if it == config.max_outer_iters:
             break
         if changed is not None and changed < config.stop_fraction:
@@ -261,6 +286,9 @@ def run_dekm(
         ae.train(lambda xb, tb: representation_step(model, xb, tb, adam, grad), [x, targets],
                  config.inner_steps, config.inner_batch_size,
                  None if config.batch_mode == "full_batch" else rng)
+        history.updates += 1
+        clock.lap("update")
         del h, targets  # not read again, so the next encode runs without them
     history.embedding = h
+    history.phase_seconds = clock.seconds
     return result, model, history

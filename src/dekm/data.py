@@ -247,7 +247,8 @@ def gen_synthetic(
     """Seeded cluster mixture: k unit-variance isotropic Gaussians whose
     latent centroids are at least ``separation`` apart, lifted to the
     ambient space by a fixed random affine map plus tanh squashing, then
-    min-max scaled into [0, 1]. Latent coordinates are kept in metadata."""
+    min-max scaled into [0, 1]. ``meta`` holds the six arguments only; the
+    latent points are not kept, and ``seed`` replays them."""
     check_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed)
     rng = np.random.default_rng(seed)
 
@@ -259,12 +260,14 @@ def gen_synthetic(
         centroids *= separation / max(min_dist, 1e-12)
 
     labels = np.repeat(np.arange(k), per_cluster_n)
-    latent = centroids[labels] + rng.normal(size=(k * per_cluster_n, latent_dim))
+    latent = rng.normal(size=(k * per_cluster_n, latent_dim))
+    latent += centroids[labels]  # the noise plus its centroid, which commutes
 
     lift = rng.normal(size=(latent_dim, ambient_dim)) / np.sqrt(latent_dim)
     offset = rng.normal(size=ambient_dim)
     # in place, in the order of tanh(latent @ lift * 0.25 + offset)
     x = latent @ lift
+    del latent
     x *= 0.25
     x += offset
     np.tanh(x, out=x)
@@ -285,7 +288,6 @@ def gen_synthetic(
             "ambient_dim": ambient_dim,
             "separation": separation,
             "seed": seed,
-            "latent": latent,
         },
     )
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dekm import cli
+from dekm import cli, core
 from dekm.config import ExperimentConfig
 
 
@@ -73,7 +73,8 @@ def test_run_outputs_and_repeats(small_config):
     results = read_results(out)
     assert len(results["runs"]) == 2
     assert {"acc", "nmi", "inertia"} <= set(results["aggregate"])
-    assert "timing" in results
+    phases = results["timing"]["per_run_phase_seconds"]
+    assert [sorted(p) for p in phases] == [sorted(core.PHASES)] * 2
     assert results["config"]["seed"] == 7
     history = [json.loads(l) for l in (out / "history.jsonl").read_text().splitlines()]
     assert {rec["repeat"] for rec in history} == {0, 1}
@@ -185,7 +186,8 @@ def test_gen_synth_writes_dataset(small_config):
     ds = data.load_csv(tmp / "gs" / "data.csv", has_labels_column=True)
     assert ds.x.shape == (240, 8)
     meta = json.loads((tmp / "gs" / "metadata.json").read_text())
-    assert meta["dataset"]["k"] == 4
+    spec = json.loads(cfg_path.read_text())["dataset"]
+    assert meta["dataset"] == {key: v for key, v in spec.items() if key != "type"}
     assert "config" in meta
 
 

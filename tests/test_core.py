@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -577,22 +578,32 @@ def test_run_dekm_scores_each_clustering_once(monkeypatch):
     [
         (core.DekmConfig(k=4, max_outer_iters=50, stop_fraction=0.9, seed=4), True),
         (core.DekmConfig(k=4, max_outer_iters=3, strategy="all_dims_H", seed=3), False),
+        (core.DekmConfig(k=4, max_outer_iters=0, seed=4), False),
     ],
-    ids=["stops", "spends_the_budget"],
+    ids=["stops", "spends_the_budget", "no_updates"],
 )
 def test_run_dekm_records_one_more_pass_than_encoder_updates(monkeypatch, cfg, stops):
-    # the layout the benchmark counts encoder updates from
+    # the layout the benchmark counts encoder updates from, the count the
+    # history reports, and its phase times
     ds = synthetic_fixture()
     model = pretrained_model(ds, 4)
-    steps = []
-    step = core.representation_step
+    steps, trains = [], []
+    step, train = core.representation_step, ae.train
     monkeypatch.setattr(core, "representation_step", lambda *a: steps.append(1) or step(*a))
+    monkeypatch.setattr(ae, "train", lambda *a: trains.append(1) or train(*a))
+    t0 = time.perf_counter()
     _, _, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
+    wall = time.perf_counter() - t0
     assert history.stopped_early == stops
     batches_per_pass = cfg.inner_steps * -(-len(ds.x) // cfg.inner_batch_size)
     assert len(steps) % batches_per_pass == 0
     updates = len(steps) // batches_per_pass
     assert updates == len(history.records) - 1 - history.stopped_early
+    assert history.updates == len(trains) == updates
+    phases = history.phase_seconds
+    assert list(phases) == ["encode", "kmeans", "transform", "targets", "update", "metrics"]
+    assert all(s >= 0.0 for s in phases.values())
+    assert sum(phases.values()) <= wall
 
 
 def test_run_dekm_full_batch_mode_runs():

@@ -1,4 +1,5 @@
 import ast
+import json
 import struct
 import tempfile
 import tracemalloc
@@ -163,11 +164,27 @@ def test_labels_are_read_exactly(tmp_path):
         data.load_csv(p, has_labels_column=True)
 
 
+def _replay_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed):
+    """Replay ``gen_synthetic``'s draws out of place: the centroids scaled to
+    ``separation``, the latent points (centroid plus noise), the lift and
+    the offset."""
+    rng = np.random.default_rng(seed)
+    centroids = rng.normal(size=(k, latent_dim))
+    if k > 1:
+        diffs = centroids[:, None, :] - centroids[None, :, :]
+        dists = np.sqrt(np.sum(diffs * diffs, axis=2))
+        centroids = centroids * (separation / dists[~np.eye(k, dtype=bool)].min())
+    labels = np.repeat(np.arange(k), per_cluster_n)
+    latent = centroids[labels] + rng.normal(size=(k * per_cluster_n, latent_dim))
+    lift = rng.normal(size=(latent_dim, ambient_dim)) / np.sqrt(latent_dim)
+    offset = rng.normal(size=ambient_dim)
+    return latent, lift, offset
+
+
 def test_gen_synthetic_latent_oracle_clustering():
-    ds = data.gen_synthetic(
-        k=4, per_cluster_n=100, latent_dim=2, ambient_dim=10, separation=20.0, seed=0
-    )
-    latent = ds.meta["latent"]
+    kw = dict(k=4, per_cluster_n=100, latent_dim=2, ambient_dim=10, separation=20.0, seed=0)
+    ds = data.gen_synthetic(**kw)
+    latent, _, _ = _replay_synthetic(**kw)
     res = km.lloyd(latent, 4, km.kmeanspp_init(latent, 4, 0))
     assert metrics.acc(ds.labels, res.assignments) >= 0.99
 
@@ -201,16 +218,20 @@ def test_gen_synthetic_rejects_bad_dims():
 def test_gen_synthetic_matches_out_of_place_formula():
     kw = dict(k=5, per_cluster_n=40, latent_dim=3, ambient_dim=12, separation=2.5, seed=11)
     ds = data.gen_synthetic(**kw)
-    # replay the generator's draws: centroids, latent noise, lift, offset
-    rng = np.random.default_rng(kw["seed"])
-    rng.normal(size=(5, 3))
-    rng.normal(size=(200, 3))
-    lift = rng.normal(size=(3, 12)) / np.sqrt(3)
-    offset = rng.normal(size=12)
-    x = np.tanh(ds.meta["latent"] @ lift * 0.25 + offset)
+    latent, lift, offset = _replay_synthetic(**kw)
+    x = np.tanh(latent @ lift * 0.25 + offset)
     lo = x.min(axis=0)
     span = np.where(x.max(axis=0) - lo > 0, x.max(axis=0) - lo, 1.0)
     assert np.array_equal(ds.x, (x - lo) / span)
+    assert np.array_equal(ds.labels, np.repeat(np.arange(5), 40))
+
+
+def test_gen_synthetic_meta_holds_the_spec_only():
+    kw = dict(k=3, per_cluster_n=20, latent_dim=2, ambient_dim=5, separation=3.0, seed=9)
+    meta = data.gen_synthetic(**kw).meta
+    assert not any(isinstance(v, np.ndarray) for v in meta.values())
+    assert meta == kw
+    assert json.loads(json.dumps(meta)) == kw
 
 
 def test_gen_synthetic_builds_x_in_place():

@@ -12,8 +12,12 @@ re-recorded when their targets began to be built in the embedding space
 record counts, assignments, ACC, NMI and changed fractions are unchanged,
 l4, inertia and weights move by rounding only, and the ablate digests lost
 the retired all_dims_Y column and history file. The GEMM summation order
-belongs to the BLAS kernel, so they hold for the BLAS build they were
-recorded with (OpenBLAS, x86-64).
+belongs to the BLAS kernel, so they hold only for the BLAS build they were
+recorded with (OpenBLAS, x86-64) and for the runtime kernel that OpenBLAS
+picked for the CPU (SkylakeX). Under ``OPENBLAS_CORETYPE=Haswell`` eleven
+pins fail: the six ``test_run_dekm_is_pinned`` cases, both CLI run pins,
+both ablate pins and ``test_pretrain_and_run_dekm_are_pinned`` in
+``test_autoencoder.py``; the outputs move by rounding only.
 """
 
 import hashlib
