@@ -57,7 +57,8 @@ class AutoencoderModel:
     ``enc_w``/``enc_b``/``dec_w``/``dec_b`` are reshaped views into it, and
     ``encoder_flat`` is the prefix holding the encoder's parameters, so one
     Adam step walks a single array. A gradient is a model of the same
-    ``dims``: ``backprop_*`` write into its views."""
+    ``dims``: ``backprop_*`` write into its views, and keep their per-batch
+    buffers in its ``work`` (see ``_work``)."""
 
     dims: list[int]  # encoder widths, input .. embedding; decoder mirrors them
     flat: np.ndarray
@@ -66,6 +67,7 @@ class AutoencoderModel:
     dec_w: list[np.ndarray] = field(init=False, repr=False)
     dec_b: list[np.ndarray] = field(init=False, repr=False)
     encoder_flat: np.ndarray = field(init=False, repr=False)
+    work: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_dims(self.dims)
@@ -112,23 +114,24 @@ def xavier_init(dims: list[int], seed: int) -> AutoencoderModel:
     return m
 
 
-def _layer(a, w, b, relu):
+def _layer(a, w, b, relu, out=None):
     """One layer, ``a @ w + b`` then ReLU if ``relu``, in a single output
-    buffer (same bits as the out-of-place expression)."""
-    z = a @ w
+    buffer, ``out`` when given (same bits as the out-of-place expression)."""
+    z = np.matmul(a, w, out=out)
     z += b
     if relu:
         np.maximum(z, 0.0, out=z)
     return z
 
 
-def _forward(ws, bs, x):
-    """Forward through one MLP chain (linear last layer). Returns the list of
-    post-activation values, a[0] being the input."""
+def _forward(ws, bs, x, outs):
+    """Forward through one MLP chain (linear last layer), writing layer i's
+    output into ``outs[i]``. Returns the list of post-activation values,
+    a[0] being the input."""
     acts = [x]
     last = len(ws) - 1
-    for i, (w, b) in enumerate(zip(ws, bs)):
-        acts.append(_layer(acts[-1], w, b, i != last))
+    for i, (w, b, out) in enumerate(zip(ws, bs, outs)):
+        acts.append(_layer(acts[-1], w, b, i != last, out))
     return acts
 
 
@@ -163,16 +166,23 @@ def _output(ws, bs, x):
     return x
 
 
-def _backward(ws, acts, delta, gw, gb):
-    """Backprop ``delta`` (dL/d output) through one chain, writing each
-    layer's weight/bias gradient into ``gw[i]``/``gb[i]``; returns dL/dz0 at
-    the first layer's pre-activation. dL/d input is ``dz0 @ ws[0].T``, left
-    to the callers that need it."""
+def _backward(ws, acts, mask, gw, gb):
+    """Backprop through one chain whose ``acts[-1]`` holds dL/d output,
+    writing each layer's weight/bias gradient into ``gw[i]``/``gb[i]``;
+    returns dL/dz0 at the first layer's pre-activation. dL/d input is
+    ``dz0 @ ws[0].T``, left to the callers that need it.
+
+    Each hidden layer's delta overwrites its output in ``acts`` once the
+    ReLU mask has been read from it into the flat bool buffer ``mask``, so
+    nothing is allocated (same bits as the out-of-place expressions)."""
     last = len(ws) - 1
+    delta = acts[-1]
     for i in range(last, -1, -1):
         if i != last:
-            delta = delta @ ws[i + 1].T
-            delta *= acts[i + 1] > 0.0
+            a = acts[i + 1]
+            on = np.greater(a, 0.0, out=mask[: a.size].reshape(a.shape))
+            delta = np.matmul(delta, ws[i + 1].T, out=a)
+            delta *= on
         np.matmul(acts[i].T, delta, out=gw[i])
         delta.sum(axis=0, out=gb[i])
     return delta
@@ -198,12 +208,16 @@ def reconstruction_loss(m: AutoencoderModel, x: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-def _squared_error(diff: np.ndarray) -> float:
-    """sum(diff**2), the training loss of both ``backprop_*``; a non-finite
-    one is a DivergenceError before any gradient or update is made from it."""
-    loss = float(np.sum(diff * diff))
+def _squared_error(out: np.ndarray, target: np.ndarray, diff: np.ndarray) -> float:
+    """sum((out - target)**2), the training loss of both ``backprop_*``,
+    with ``out - target`` written into ``diff`` and then dL/d out,
+    ``2 * diff``, into ``out``. A non-finite loss is a DivergenceError before
+    any gradient or update is made from it."""
+    np.subtract(out, target, out=diff)
+    loss = float(np.sum(np.multiply(diff, diff, out=out)))
     if not math.isfinite(loss):
         raise DivergenceError("non-finite training loss")
+    np.multiply(2.0, diff, out=out)
     return loss
 
 
@@ -212,17 +226,35 @@ def _check_grad(m: AutoencoderModel, grad: AutoencoderModel) -> None:
         raise DimensionError(f"gradient dims {grad.dims} != model dims {m.dims}")
 
 
+def _work(grad: AutoencoderModel, chain: str, rows: int):
+    """The first ``rows`` rows of the buffers backprop through ``chain``
+    ("enc" or "dec") writes: one per layer output, then the loss difference;
+    and the flat ReLU mask that both chains share. They live in
+    ``grad.work``, built for the largest batch seen and row-sliced for a
+    shorter one, so a step after the first allocates no activation."""
+    work = grad.work
+    if work is None or work["rows"] < rows:
+        widest = max(grad.dims[1:-1], default=0)  # of the ReLU layers
+        work = grad.work = {"rows": rows, "mask": np.empty(rows * widest, dtype=bool)}
+    if chain not in work:
+        widths = [w.shape[1] for w in (grad.enc_w if chain == "enc" else grad.dec_w)]
+        work[chain] = [np.empty((work["rows"], n)) for n in widths + widths[-1:]]
+    return [a[:rows] for a in work[chain]], work["mask"]
+
+
 def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray, grad: AutoencoderModel) -> float:
     """Gradient of sum ||x - g(f(x))||^2 w.r.t. all parameters, written into
     ``grad`` (a model of the same dims); returns the loss."""
     x = check_matrix("input", x, cols=m.input_dim)
     _check_grad(m, grad)
-    enc_acts = _forward(m.enc_w, m.enc_b, x)
-    dec_acts = _forward(m.dec_w, m.dec_b, enc_acts[-1])
-    diff = dec_acts[-1] - x
-    loss = _squared_error(diff)
-    dz0 = _backward(m.dec_w, dec_acts, 2.0 * diff, grad.dec_w, grad.dec_b)
-    _backward(m.enc_w, enc_acts, dz0 @ m.dec_w[0].T, grad.enc_w, grad.enc_b)
+    (*enc, _), mask = _work(grad, "enc", x.shape[0])
+    (*dec, diff), _ = _work(grad, "dec", x.shape[0])
+    enc_acts = _forward(m.enc_w, m.enc_b, x, enc)
+    dec_acts = _forward(m.dec_w, m.dec_b, enc_acts[-1], dec)
+    loss = _squared_error(dec_acts[-1], x, diff)
+    dz0 = _backward(m.dec_w, dec_acts, mask, grad.dec_w, grad.dec_b)
+    np.matmul(dz0, m.dec_w[0].T, out=enc_acts[-1])  # the decoder has read the embedding
+    _backward(m.enc_w, enc_acts, mask, grad.enc_w, grad.enc_b)
     return loss
 
 
@@ -235,10 +267,10 @@ def backprop_embedding(
     x = check_matrix("input", x, cols=m.input_dim)
     targets = check_matrix("targets", targets, x.shape[0], m.embedding_dim)
     _check_grad(m, grad)
-    acts = _forward(m.enc_w, m.enc_b, x)
-    diff = acts[-1] - targets
-    loss = _squared_error(diff)
-    _backward(m.enc_w, acts, 2.0 * diff, grad.enc_w, grad.enc_b)
+    (*enc, diff), mask = _work(grad, "enc", x.shape[0])
+    acts = _forward(m.enc_w, m.enc_b, x, enc)
+    loss = _squared_error(acts[-1], targets, diff)
+    _backward(m.enc_w, acts, mask, grad.enc_w, grad.enc_b)
     return loss
 
 

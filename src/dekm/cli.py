@@ -261,16 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "eval":
-            return cmd_eval(args.labels, args.assignments, args.out)
-        return COMMANDS[args.command][0](load_config(args.config, vars(args)))
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DekmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A diverging run overflows before an explicit check finds the non-finite
+    # values and reports them, so numpy's own warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if args.command == "eval":
+                return cmd_eval(args.labels, args.assignments, args.out)
+            return COMMANDS[args.command][0](load_config(args.config, vars(args)))
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except DekmError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

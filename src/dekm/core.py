@@ -289,6 +289,7 @@ def run_dekm(
         history.updates += 1
         clock.lap("update")
         del h, targets  # not read again, so the next encode runs without them
+        grad.work = None  # nor the step buffers, which a full batch makes full-size
     history.embedding = h
     history.phase_seconds = clock.seconds
     return result, model, history

@@ -197,16 +197,25 @@ def _is_number(s: str) -> bool:
         return False
 
 
+# Cells that save_csv formats at once: its Python floats and text stay a few
+# MiB however large the array.
+CSV_BLOCK_CELLS = 1 << 16
+
+
 def save_csv(path, x: np.ndarray, labels=None, header: str = "") -> None:
     """Write ``header`` verbatim, then features (repr-precision floats)
-    with an optional trailing integer label column."""
+    with an optional trailing integer label column, formatted from
+    ``tolist()`` and written a block of rows at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = max(1, CSV_BLOCK_CELLS // max(1, x.shape[1]))
     with open_output(path) as f:
         f.write(header)
-        for i in range(x.shape[0]):
-            cells = [repr(float(v)) for v in x[i]]
+        for lo in range(0, x.shape[0], rows):
+            block = x[lo : lo + rows].tolist()
             if labels is not None:
-                cells.append(str(int(labels[i])))
-            f.write(",".join(cells) + "\n")
+                for row, label in zip(block, labels[lo : lo + rows], strict=True):
+                    row.append(int(label))
+            f.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
 def check_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed) -> None:

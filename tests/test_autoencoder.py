@@ -468,9 +468,9 @@ def test_backprop_writes_into_the_given_gradient(monkeypatch, rng, which):
     written = []
     backward = ae._backward
 
-    def recording(ws, acts, delta, gw, gb):
+    def recording(ws, acts, mask, gw, gb):
         written.extend(gw + gb)
-        return backward(ws, acts, delta, gw, gb)
+        return backward(ws, acts, mask, gw, gb)
 
     monkeypatch.setattr(ae, "_backward", recording)
     grad = empty_gradient(m)
@@ -557,9 +557,25 @@ def _textbook_backward(ws, acts, delta):
     return gw, gb, delta
 
 
-def _textbook_backward_into(ws, acts, delta, gw_out, gb_out):
-    # the out-of-place reference, copied into the gradient buffer's views
-    gw, gb, delta = _textbook_backward(ws, acts, delta)
+def _textbook_forward_into(ws, bs, x, outs):
+    # the out-of-place reference, copied into the step's output buffers
+    acts = _textbook_forward(ws, bs, x)
+    for out, a in zip(outs, acts[1:]):
+        out[...] = a
+    return [x, *outs]
+
+
+def _textbook_squared_error(out, target, diff):
+    diff = out - target
+    loss = float(np.sum(diff * diff))
+    out[...] = 2.0 * diff
+    return loss
+
+
+def _textbook_backward_into(ws, acts, mask, gw_out, gb_out):
+    # the out-of-place reference from dL/d output in acts[-1], copied into
+    # the gradient buffer's views
+    gw, gb, delta = _textbook_backward(ws, acts, acts[-1])
     for out, g in zip(gw_out + gb_out, gw + gb):
         out[...] = g
     return delta
@@ -567,8 +583,9 @@ def _textbook_backward_into(ws, acts, delta, gw_out, gb_out):
 
 def _use_textbook_numerics(monkeypatch):
     monkeypatch.setattr(ae, "adam_step", _textbook_adam_step)
-    monkeypatch.setattr(ae, "_forward", _textbook_forward)
+    monkeypatch.setattr(ae, "_forward", _textbook_forward_into)
     monkeypatch.setattr(ae, "_output", lambda ws, bs, x: _textbook_forward(ws, bs, x)[-1])
+    monkeypatch.setattr(ae, "_squared_error", _textbook_squared_error)
     monkeypatch.setattr(ae, "_backward", _textbook_backward_into)
 
 
@@ -634,7 +651,7 @@ def _sha256(arrays):
     return h.hexdigest()
 
 
-def _pretrain_and_cluster(monkeypatch):
+def _pretrain_and_cluster(monkeypatch, **dekm):
     # enc_w[0] and dec_w[-1] have 38400 entries, more than one Adam chunk
     ds = data.gen_synthetic(
         k=4, per_cluster_n=50, latent_dim=2, ambient_dim=64, separation=5.0, seed=31
@@ -652,7 +669,7 @@ def _pretrain_and_cluster(monkeypatch):
         return step(params, grads, state)
 
     monkeypatch.setattr(ae, "adam_step", capturing)
-    cfg = DekmConfig(k=4, max_outer_iters=3, inner_batch_size=64, seed=3)
+    cfg = DekmConfig(k=4, max_outer_iters=3, inner_batch_size=64, seed=3, **dekm)
     result, m, _ = run_dekm(m, ds.x, cfg)
     monkeypatch.setattr(ae, "adam_step", step)
     adam = states[0]
@@ -684,14 +701,75 @@ def test_pretrain_and_run_dekm_are_pinned(monkeypatch):
 
 
 def test_pretrain_and_run_dekm_match_textbook_numerics(monkeypatch):
-    pre, losses, enc, adam, assignments = _pretrain_and_cluster(monkeypatch)
-    _use_textbook_numerics(monkeypatch)
-    ref_pre, ref_losses, ref_enc, ref_adam, ref_assignments = _pretrain_and_cluster(monkeypatch)
-    assert losses == ref_losses
-    assert adam.t == ref_adam.t
-    for g, w in zip(pre + enc + adam.m + adam.v, ref_pre + ref_enc + ref_adam.m + ref_adam.v):
-        assert np.array_equal(g, w)
-    assert np.array_equal(assignments, ref_assignments)
+    # mini-batch, and full-batch, whose steps all reuse one set of buffers
+    for dekm in ({}, {"batch_mode": "full_batch", "inner_steps": 3}):
+        with monkeypatch.context() as patched:
+            pre, losses, enc, adam, assignments = _pretrain_and_cluster(patched, **dekm)
+            _use_textbook_numerics(patched)
+            ref_pre, ref_losses, ref_enc, ref_adam, ref_assignments = _pretrain_and_cluster(
+                patched, **dekm
+            )
+        assert losses == ref_losses
+        assert adam.t == ref_adam.t == (12 if not dekm else 9)
+        for g, w in zip(pre + enc + adam.m + adam.v, ref_pre + ref_enc + ref_adam.m + ref_adam.v):
+            assert np.array_equal(g, w)
+        assert np.array_equal(assignments, ref_assignments)
+
+
+def test_representation_steps_after_the_first_allocate_no_activation(rng):
+    # one gradient serves full batches and shorter ones, from one buffer set
+    # built for the largest; a later step allocates less than one activation
+    m = ae.xavier_init([32, 64, 64, 32], seed=4)
+    x, t = rng.normal(size=(2000, 32)), rng.normal(size=(2000, 32))
+    adam = ae.AdamState.for_params([m.encoder_flat])
+    grad = empty_gradient(m)
+    for step, rows in enumerate((2000, 256, 208, 2000)):
+        xb, tb = x[:rows], t[:rows]
+        acts = _textbook_forward(m.enc_w, m.enc_b, xb)
+        diff = acts[-1] - tb
+        gw, gb, _ = _textbook_backward(m.enc_w, acts, 2.0 * diff)
+        tracemalloc.start()
+        try:
+            loss = core.representation_step(m, xb, tb, adam, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loss == float(np.sum(diff * diff))
+        for got, want in zip(param_views(grad, encoder_only=True), gw + gb):
+            assert np.array_equal(got, want)
+        if step:
+            assert peak < rows * 64 * 8
+    assert grad.work["rows"] == 2000
+
+
+def test_pretrain_steps_after_the_first_allocate_no_activation(monkeypatch, rng):
+    # each step from backprop_reconstruction's start to adam_step's end; the
+    # batches are 256 rows, then a short last one of 244
+    m = ae.xavier_init([32, 64, 64, 32], seed=4)
+    rows, peaks = [], []
+    backprop, adam_step = ae.backprop_reconstruction, ae.adam_step
+
+    def traced_backprop(m, x, grad):
+        rows.append(x.shape[0])
+        if len(rows) > 1:
+            tracemalloc.start()
+        return backprop(m, x, grad)
+
+    def traced_adam_step(params, grads, state):
+        out = adam_step(params, grads, state)
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(ae, "backprop_reconstruction", traced_backprop)
+    monkeypatch.setattr(ae, "adam_step", traced_adam_step)
+    try:
+        ae.pretrain(m, rng.normal(size=(500, 32)), epochs=2, batch_size=256, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert rows == [256, 244] * 2 and len(peaks) == 3
+    assert max(peaks) < 244 * 64 * 8
 
 
 def test_encode_keeps_no_dead_activations():
@@ -715,7 +793,7 @@ def test_encode_keeps_no_dead_activations():
 
 
 def _unblocked(ws, bs, x):
-    return ae._forward(ws, bs, x)[-1]
+    return ae._forward(ws, bs, x, [np.empty((len(x), w.shape[1])) for w in ws])[-1]
 
 
 def _block_rows(ws):

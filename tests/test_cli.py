@@ -625,6 +625,23 @@ def test_an_output_file_that_cannot_be_opened_exits_2_without_a_traceback(
     assert [p.name for p in out.iterdir()] == [blocked]
 
 
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"pretrain_lr": 1e300}, "non-finite training loss"),
+        ({"dekm": {"k": 4, "max_outer_iters": 3, "lr": 1e300}}, "embedding contains non-finite values"),
+    ],
+    ids=["pretrain_lr", "dekm_lr"],
+)
+def test_a_diverging_run_prints_only_its_error_line(small_config, capsys, keys, message):
+    # numpy's overflow warnings (errors under this suite's filter) stay quiet
+    cfg_path, _ = small_config
+    cfg = {**json.loads(cfg_path.read_text()), **keys, "repeats": 1}
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # flag -> (its value on the command line, the config key it sets, the value
 # it sets there), written out independently of dekm.config.FLAGS
 FLAG_VALUES = {

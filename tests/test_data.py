@@ -129,6 +129,36 @@ def test_csv_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(ds.labels, labels)
 
 
+def _row_loop_csv(x, labels, header):
+    # the row-by-row formula save_csv's bytes must equal
+    text = header
+    for i in range(x.shape[0]):
+        cells = [repr(float(v)) for v in x[i]]
+        if labels is not None:
+            cells.append(str(int(labels[i])))
+        text += ",".join(cells) + "\n"
+    return text
+
+
+@pytest.mark.parametrize("block_cells", [data.CSV_BLOCK_CELLS, 7], ids=["one_block", "blocks"])
+@pytest.mark.parametrize("with_labels", [True, False], ids=["labels", "no_labels"])
+def test_save_csv_writes_the_row_loop_bytes(tmp_path, monkeypatch, block_cells, with_labels):
+    # 7 cells make blocks of two 3-wide rows: 2, 2 and a last one of 1
+    monkeypatch.setattr(data, "CSV_BLOCK_CELLS", block_cells)
+    x = np.array([
+        [-0.0, 5e-324, 1e-05],
+        [1e16, np.nan, -2.5],
+        [0.1, 1 / 3, -1e-300],
+        [2.0**62, -1e16, 1e-5 / 3],
+        [7.0, -0.0, 0.0],
+    ])
+    labels = np.array([-7, 2**62, 0, -(2**62), 3]) if with_labels else None
+    header = '# config: {"k": 4}\nf0,f1,f2,label\n'
+    path = tmp_path / "o.csv"
+    data.save_csv(path, x, labels, header)
+    assert path.read_bytes() == _row_loop_csv(x, labels, header).encode()
+
+
 @st.composite
 def _datasets(draw):
     n, d = draw(st.integers(1, 20)), draw(st.integers(1, 5))
