@@ -114,24 +114,19 @@ def xavier_init(dims: list[int], seed: int) -> AutoencoderModel:
     return m
 
 
-def _layer(a, w, b, relu, out=None):
-    """One layer, ``a @ w + b`` then ReLU if ``relu``, in a single output
-    buffer, ``out`` when given (same bits as the out-of-place expression)."""
-    z = np.matmul(a, w, out=out)
-    z += b
-    if relu:
-        np.maximum(z, 0.0, out=z)
-    return z
-
-
 def _forward(ws, bs, x, outs):
-    """Forward through one MLP chain (linear last layer), writing layer i's
-    output into ``outs[i]``. Returns the list of post-activation values,
-    a[0] being the input."""
+    """Forward through one MLP chain, writing layer i's output, ``a @ w[i] +
+    b[i]`` then ReLU except at the last layer, into ``outs[i]`` (same bits as
+    the out-of-place expression). The one place a layer is computed. Returns
+    the list of post-activation values, a[0] being the input."""
     acts = [x]
     last = len(ws) - 1
-    for i, (w, b, out) in enumerate(zip(ws, bs, outs)):
-        acts.append(_layer(acts[-1], w, b, i != last, out))
+    for i, (w, b, z) in enumerate(zip(ws, bs, outs)):
+        np.matmul(acts[-1], w, out=z)
+        z += b
+        if i != last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts
 
 
@@ -144,26 +139,23 @@ FORWARD_BLOCK_ROWS = 2048
 
 
 def _output(ws, bs, x):
-    """The last activation of ``_forward``; each intermediate is dropped as
-    soon as the next layer has been computed from it.
+    """The last activation of ``_forward`` over all rows of ``x``.
 
-    Inputs of more rows than one block (FORWARD_BLOCK_BYTES of the widest
-    activation, and at most FORWARD_BLOCK_ROWS rows) are pushed through in
-    row blocks written into one result, so memory does not grow with the
-    row count. Each block's rows equal ``_output`` on that slice; since BLAS
-    results depend on the row count, they may differ from an unblocked pass
-    by a few ulp."""
-    widest = max(w.shape[1] for w in ws)
-    rows = max(1, min(FORWARD_BLOCK_ROWS, FORWARD_BLOCK_BYTES // (8 * widest)))
-    n, last = x.shape[0], len(ws) - 1
-    if n > rows:
-        out = np.empty((n, ws[-1].shape[1]))
-        for lo in range(0, n, rows):
-            out[lo : lo + rows] = _output(ws, bs, x[lo : lo + rows])
-        return out
-    for i, (w, b) in enumerate(zip(ws, bs)):
-        x = _layer(x, w, b, i != last)
-    return x
+    The rows go through ``_forward`` in blocks (FORWARD_BLOCK_BYTES of the
+    widest activation, and at most FORWARD_BLOCK_ROWS rows), so memory does
+    not grow with the row count. Each hidden layer has one block-sized
+    buffer, shared by all blocks, and the last layer writes straight into
+    the result's rows. Each block's rows equal ``_forward`` on that slice;
+    since BLAS results depend on the row count, they may differ from an
+    unblocked pass by a few ulp."""
+    n, widest = x.shape[0], max(w.shape[1] for w in ws)
+    rows = max(1, min(n, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_BYTES // (8 * widest)))
+    out = np.empty((n, ws[-1].shape[1]))
+    hidden = [np.empty((rows, w.shape[1])) for w in ws[:-1]]
+    for lo in range(0, n, rows):
+        block = x[lo : lo + rows]
+        _forward(ws, bs, block, [a[: len(block)] for a in hidden] + [out[lo : lo + rows]])
+    return out
 
 
 def _backward(ws, acts, mask, gw, gb):

@@ -118,8 +118,8 @@ def build_transform(s_w: np.ndarray) -> TransformState:
     of largest magnitude is positive, so the signs do not depend on LAPACK.
     Raises NumericError on non-finite entries and ConvergenceError if
     LAPACK fails to converge."""
-    s = np.asarray(s_w, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
+    s = check_matrix("s_w", s_w)
+    if s.shape[0] != s.shape[1] or s.size == 0:
         raise DimensionError(f"expected a non-empty square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise NumericError("matrix contains non-finite entries")

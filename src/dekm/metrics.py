@@ -192,10 +192,14 @@ def align_labels(reference, labels) -> np.ndarray:
 def gaussian_entropy(variances) -> float:
     """Differential entropy of an axis-aligned Gaussian,
     (1/2) ln(2 pi e * prod of variances)."""
-    v = np.asarray(variances, dtype=np.float64)
-    if v.size == 0 or not (np.isfinite(v).all() and (v > 0).all()):
+    try:
+        v = np.asarray(variances)
+    except ValueError as exc:  # ragged nested sequences
+        raise ConfigurationError(f"variances are not a rectangular array: {exc}") from exc
+    if (v.dtype.kind not in "biuf" or v.size == 0
+            or not (np.isfinite(v).all() and (v > 0).all())):
         raise ConfigurationError(f"variances must be finite and positive, got {variances}")
-    return float(0.5 * np.log(2.0 * np.pi * np.e * np.prod(v)))
+    return float(0.5 * np.log(2.0 * np.pi * np.e * np.prod(v, dtype=np.float64)))
 
 
 def uniform_entropy(n: int) -> float:

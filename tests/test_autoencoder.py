@@ -804,10 +804,13 @@ def test_forward_within_one_block_is_one_unblocked_pass(rng):
     m = ae.xavier_init([32, 1024, 10], seed=3)
     rows = _block_rows(m.enc_w)
     assert rows == _block_rows(m.dec_w) == 2048
-    x = rng.normal(size=(rows, 32))
-    h = ae.encode(m, x)
-    assert np.array_equal(h, _unblocked(m.enc_w, m.enc_b, x))
-    assert np.array_equal(ae.decode(m, h), _unblocked(m.dec_w, m.dec_b, h))
+    for n in (rows, 1, 0):  # a block of one row, and none at all
+        x = rng.normal(size=(n, 32))
+        h = ae.encode(m, x)
+        r = ae.decode(m, h)
+        assert h.shape == (n, 10) and r.shape == (n, 32)
+        assert np.array_equal(h, _unblocked(m.enc_w, m.enc_b, x))
+        assert np.array_equal(r, _unblocked(m.dec_w, m.dec_b, h))
 
 
 def test_forward_blocks_equal_unblocked_passes_on_their_slices(rng):
@@ -848,15 +851,15 @@ def test_encode_memory_does_not_grow_with_rows():
 def test_forward_block_rows(monkeypatch, dims, rows):
     m = ae.xavier_init(dims, seed=0)
     x = np.zeros((rows + 5, dims[0]))
-    seen, output = [], ae._output
+    seen, forward = [], ae._forward
 
-    def recorded(ws, bs, a):
+    def recorded(ws, bs, a, outs):
         seen.append(a.shape[0])
-        return output(ws, bs, a)
+        return forward(ws, bs, a, outs)
 
-    monkeypatch.setattr(ae, "_output", recorded)
+    monkeypatch.setattr(ae, "_forward", recorded)
     ae.encode(m, x)
-    assert seen == [rows + 5, rows, 5]
+    assert seen == [rows, 5]
 
 
 def test_narrow_encode_memory_does_not_grow_with_rows():

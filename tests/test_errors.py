@@ -58,6 +58,9 @@ CASES = {
     "loss_short_targets": (DimensionError, lambda: core.greedy_loss(H, H[:4])),
     "gaussian_nan_variance": (ConfigurationError, lambda: metrics.gaussian_entropy([1.0, np.nan])),
     "gaussian_inf_variance": (ConfigurationError, lambda: metrics.gaussian_entropy([np.inf])),
+    "gaussian_strings": (ConfigurationError, lambda: metrics.gaussian_entropy("ab")),
+    "gaussian_ragged": (ConfigurationError, lambda: metrics.gaussian_entropy([[1.0], [1.0, 2.0]])),
+    "gaussian_complex": (ConfigurationError, lambda: metrics.gaussian_entropy([1j, 2])),
     "uniform_fractional_n": (ConfigurationError, lambda: metrics.uniform_entropy(2.5)),
     "uniform_bool_n": (ConfigurationError, lambda: metrics.uniform_entropy(True)),
     "xavier_negative_seed": (ConfigurationError, lambda: ae.xavier_init([3, 2], seed=-1)),
@@ -69,6 +72,11 @@ CASES = {
         DimensionError, lambda: ae.encode(ae.xavier_init([2, 1], 0), [[1.0], [1.0, 2.0]]),
     ),
     "loss_complex_targets": (ConfigurationError, lambda: core.greedy_loss(H, H + 0j)),
+    "transform_strings": (
+        ConfigurationError, lambda: core.build_transform([["1", "0"], ["0", "1"]]),
+    ),
+    "transform_ragged": (DimensionError, lambda: core.build_transform([[1.0, 0.0], [1.0]])),
+    "transform_complex": (ConfigurationError, lambda: core.build_transform(np.eye(2) + 1j)),
     "scatter_assignment_k": (
         ConfigurationError, lambda: km.within_class_scatter(H, _assigned([0, 1, 2, 0, 1])),
     ),
