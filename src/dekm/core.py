@@ -25,7 +25,7 @@ from . import kmeans as km
 from . import metrics
 from .errors import (
     ConfigurationError, ConvergenceError, DimensionError, NumericError,
-    check_int, check_matrix, check_real,
+    check_int, check_labels, check_matrix, check_real,
 )
 
 STRATEGIES = ("last_dim_Y", "random_dim_Y", "random_dim_H", "all_dims_H")
@@ -230,7 +230,7 @@ def run_dekm(
     the returned clustering; after a stop it copies the stopping pass's
     record (next ``iter``, ``seconds=0.0``) and no further pass runs.
     The history also counts the encoder updates and the seconds per phase.
-    Non-finite ``x`` and ``labels`` not one per row are rejected up front.
+    Non-finite ``x`` and ``labels`` not one integer per row are rejected up front.
     """
     if not isinstance(config, DekmConfig):
         raise ConfigurationError(f"config must be a DekmConfig, got {type(config).__name__}")
@@ -241,6 +241,7 @@ def run_dekm(
         raise NumericError("input contains non-finite values")
     if labels is not None and np.shape(labels) != (x.shape[0],):
         raise DimensionError(f"labels must have shape ({x.shape[0]},), got {np.shape(labels)}")
+    labels = None if labels is None else check_labels(labels)
     rng = np.random.default_rng(config.seed)
     adam = ae.AdamState.for_params([model.encoder_flat], lr=config.lr)
     grad = ae.AutoencoderModel(model.dims, np.empty_like(model.flat))

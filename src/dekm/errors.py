@@ -74,3 +74,19 @@ def check_matrix(name: str, a, rows: int | None = None, cols: int | None = None)
         want = f"({'n' if rows is None else rows}, {'d' if cols is None else cols})"
         raise DimensionError(f"{name} must have shape {want}, got {a.shape}")
     return a
+
+
+def check_labels(v) -> np.ndarray:
+    """Return ``v`` as an int64 vector; raise ``DimensionError`` unless it is
+    1-D and ``ConfigurationError`` unless its values are 64-bit integers."""
+    a = np.asarray(v)
+    if a.ndim != 1:
+        raise DimensionError(f"label vector must be 1-D, got shape {a.shape}")
+    if a.dtype.kind == "f":
+        # |a| < 2**63 also rejects nan and inf, and keeps the int64 cast exact
+        integral = np.all(np.abs(a) < 2.0**63) and np.array_equal(a, np.trunc(a))
+    else:  # strings, objects and complex numbers are not labels
+        integral = a.dtype.kind in "biu"
+    if not integral:
+        raise ConfigurationError("labels must be 64-bit integers")
+    return a.astype(int)

@@ -68,31 +68,28 @@ def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
 
     h_norms = _row_norms(h)
-    chosen = np.empty(k, dtype=int)
-    chosen[0] = rng.integers(n)
-    d2 = _sq_dists(h, h[chosen[:1]], h_norms)[:, 0]
-    for i in range(1, k):
+    chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)  # min(inf, d) is d: the first update sets it
+    for _ in range(1, k):
+        np.minimum(d2, _sq_dists(h, h[chosen[-1:]], h_norms)[:, 0], out=d2)
         total = d2.sum()
         if total > 0.0:
             r = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-            idx = min(idx, n - 1)
+            chosen.append(min(idx, n - 1))
         else:
-            idx = int(rng.integers(n))  # all mass on chosen points (duplicates)
-        chosen[i] = idx
-        np.minimum(d2, _sq_dists(h, h[idx : idx + 1], h_norms)[:, 0], out=d2)
-    return h[chosen].copy()
+            chosen.append(int(rng.integers(n)))  # all mass on chosen points (duplicates)
+    return h[chosen]
 
 
 def _repair_empty(h, assignments, centroids, counts):
-    """Move the globally farthest-from-its-centroid point into each empty
-    cluster. ``counts`` is ``bincount(assignments, minlength=k)``; it,
+    """Move the globally farthest-from-its-centroid point into each cluster
+    empty on entry. ``counts`` is ``bincount(assignments, minlength=k)``; it,
     ``assignments`` and ``centroids`` are updated in place."""
-    for j in range(len(counts)):
-        if counts[j] > 0:
-            continue
+    for j in np.flatnonzero(counts == 0):
         dist = np.sum((h - centroids[assignments]) ** 2, axis=1)
-        # never steal a singleton, that would just move the hole
+        # never steal a singleton, that would just move the hole; while one
+        # cluster is empty, n >= k leaves another with two or more members
         dist[counts[assignments] <= 1] = -1.0
         donor = int(np.argmax(dist))
         counts[assignments[donor]] -= 1
@@ -146,18 +143,15 @@ def lloyd(
     h_norms = _row_norms(h)
     centroids = init_centroids.copy()
     trace: list[float] = []
-    prev_inertia = np.inf
-    for _ in range(max_iter):
+    for i in range(max_iter):
         # argmin takes the lowest index on ties
         assignments = np.argmin(_sq_dists(h, centroids, h_norms), axis=1)
         counts = np.bincount(assignments, minlength=k)
         _repair_empty(h, assignments, centroids, counts)
         centroids = _means(h, assignments, counts, centroids)
-        inertia = _inertia(h, centroids, assignments)
-        trace.append(inertia)
-        if np.isfinite(prev_inertia) and prev_inertia - inertia <= tol * max(prev_inertia, 1e-300):
+        trace.append(_inertia(h, centroids, assignments))
+        if i and np.isfinite(trace[-2]) and trace[-2] - trace[-1] <= tol * max(trace[-2], 1e-300):
             break
-        prev_inertia = inertia
     return ClusterResult(
         assignments=assignments,
         centroids=centroids,

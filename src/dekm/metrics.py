@@ -8,25 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, NumericError, check_int, check_matrix
-
-
-def _as_labels(v) -> np.ndarray:
-    a = np.asarray(v)
-    if a.ndim != 1:
-        raise DimensionError(f"label vector must be 1-D, got shape {a.shape}")
-    if a.dtype.kind == "f":
-        # |a| < 2**63 also rejects nan and inf, and keeps the int64 cast exact
-        integral = np.all(np.abs(a) < 2.0**63) and np.array_equal(a, np.trunc(a))
-    else:  # strings, objects and complex numbers are not labels
-        integral = a.dtype.kind in "biu"
-    if not integral:
-        raise ConfigurationError("labels must be 64-bit integers")
-    return a.astype(int)
+from .errors import (
+    ConfigurationError, DimensionError, NumericError, check_int, check_labels, check_matrix,
+)
 
 
 def _check_pair(g, c) -> tuple[np.ndarray, np.ndarray]:
-    g, c = _as_labels(g), _as_labels(c)
+    g, c = check_labels(g), check_labels(c)
     if len(g) != len(c):
         raise DimensionError(f"label lengths differ: {len(g)} vs {len(c)}")
     if len(g) == 0:

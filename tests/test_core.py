@@ -670,6 +670,19 @@ def test_run_dekm_rejects_labels_not_one_per_row_before_encoding(monkeypatch, rn
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [np.array(["a", "b", "c"] * 20), np.arange(60) + 0.5, np.arange(60) + 1j],
+    ids=["strings", "non-integral floats", "complex"],
+)
+def test_run_dekm_rejects_labels_that_are_not_integers_before_encoding(monkeypatch, rng, labels):
+    calls = _counting_encodes(monkeypatch)
+    model = ae.xavier_init([5, 3], seed=0)
+    with pytest.raises(ConfigurationError, match="labels must be 64-bit integers"):
+        core.run_dekm(model, rng.normal(size=(60, 5)), core.DekmConfig(k=3), labels=labels)
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_run_dekm_rejects_non_finite_input_before_encoding(monkeypatch, rng, bad):
     calls = _counting_encodes(monkeypatch)

@@ -200,6 +200,29 @@ def _reference_sq_dists(h, c, h_norms):
     return np.maximum(h_norms[:, None] - 2.0 * (h @ c.T) + np.sum(c * c, axis=1)[None, :], 0.0)
 
 
+def _reference_kmeanspp_init(h, k, seed):
+    # the seeding loop with a separate D^2 path for the first centre and an
+    # update after the k-th draw that nothing reads
+    n = h.shape[0]
+    rng = np.random.default_rng(seed)
+
+    h_norms = km._row_norms(h)
+    chosen = np.empty(k, dtype=int)
+    chosen[0] = rng.integers(n)
+    d2 = km._sq_dists(h, h[chosen[:1]], h_norms)[:, 0]
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            idx = min(idx, n - 1)
+        else:
+            idx = int(rng.integers(n))  # all mass on chosen points (duplicates)
+        chosen[i] = idx
+        np.minimum(d2, km._sq_dists(h, h[idx : idx + 1], h_norms)[:, 0], out=d2)
+    return h[chosen].copy()
+
+
 def _reference_repair_empty(h, assignments, centroids, k):
     for j in range(k):
         if np.any(assignments == j):
@@ -255,6 +278,38 @@ def test_lloyd_steps_match_out_of_place_formulas_bit_for_bit(rng, e):
         assert np.array_equal(means, ref)
         assert np.array_equal(np.signbit(means), np.signbit(ref))
         assert km._inertia(h, ref, sub) == float(np.sum((h - ref[sub]) ** 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeanspp_matches_the_reference_seeding_bit_for_bit(monkeypatch, seed):
+    # random rows, in C and Fortran order, and all-duplicate rows (integral,
+    # so every D^2 is exactly 0 and each draw after the first takes the
+    # total == 0 branch), at k = 1, 2 and n; D^2 is updated once per drawn
+    # centre before the next draw, k - 1 times
+    calls, sq_dists = [], km._sq_dists
+
+    def counted(h, c, h_norms):
+        calls.append(len(c))
+        return sq_dists(h, c, h_norms)
+
+    monkeypatch.setattr(km, "_sq_dists", counted)
+    rng = np.random.default_rng(seed + 100)
+    n, e = int(rng.integers(3, 60)), int(rng.integers(1, 6))
+    random_rows = rng.normal(size=(n, e)) * rng.uniform(0.1, 10.0)
+    duplicates = np.tile(rng.integers(-3, 4, size=e).astype(float), (n, 1))
+    for h in (random_rows, np.asfortranarray(random_rows), duplicates):
+        for k in (1, 2, n):
+            calls.clear()
+            seeds = km.kmeanspp_init(h, k, seed)
+            assert calls == [1] * (k - 1)
+            ref = _reference_kmeanspp_init(h, k, seed)
+            assert np.array_equal(seeds, ref)
+            assert not np.shares_memory(seeds, h)
+            # a Generator is consumed in the same draw order
+            g, g_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            km.kmeanspp_init(h, k, g)
+            _reference_kmeanspp_init(h, k, g_ref)
+            assert g.random() == g_ref.random()
 
 
 def test_lloyd_keeps_no_full_size_temporaries():
