@@ -190,13 +190,9 @@ def decode(m: AutoencoderModel, h: np.ndarray) -> np.ndarray:
     return _output(m.dec_w, m.dec_b, h)
 
 
-def reconstruct(m: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    return decode(m, encode(m, x))
-
-
 def reconstruction_loss(m: AutoencoderModel, x: np.ndarray) -> float:
     x = check_matrix("input", x, cols=m.input_dim)
-    diff = reconstruct(m, x) - x
+    diff = decode(m, encode(m, x)) - x
     return float(np.sum(diff * diff))
 
 

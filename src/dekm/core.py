@@ -239,9 +239,7 @@ def run_dekm(
         raise ConfigurationError(f"{x.shape[0]} samples for k={config.k}")
     if not np.isfinite(x).all():
         raise NumericError("input contains non-finite values")
-    if labels is not None and np.shape(labels) != (x.shape[0],):
-        raise DimensionError(f"labels must have shape ({x.shape[0]},), got {np.shape(labels)}")
-    labels = None if labels is None else check_labels(labels)
+    labels = None if labels is None else check_labels(labels, x.shape[0])
     rng = np.random.default_rng(config.seed)
     adam = ae.AdamState.for_params([model.encoder_flat], lr=config.lr)
     grad = ae.AutoencoderModel(model.dims, np.empty_like(model.flat))

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, check_int, check_real
+from .errors import (
+    ConfigurationError, FormatError, check_int, check_labels, check_matrix, check_real,
+)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -205,8 +207,11 @@ CSV_BLOCK_CELLS = 1 << 16
 def save_csv(path, x: np.ndarray, labels=None, header: str = "") -> None:
     """Write ``header`` verbatim, then features (repr-precision floats)
     with an optional trailing integer label column, formatted from
-    ``tolist()`` and written a block of rows at a time."""
-    x = np.asarray(x, dtype=np.float64)
+    ``tolist()`` and written a block of rows at a time. ``x`` must be a
+    real matrix and ``labels`` one integer per row (``check_matrix``,
+    ``check_labels``)."""
+    x = check_matrix("x", x)
+    labels = None if labels is None else check_labels(labels, x.shape[0])
     rows = max(1, CSV_BLOCK_CELLS // max(1, x.shape[1]))
     with open_output(path) as f:
         f.write(header)

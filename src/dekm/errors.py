@@ -56,15 +56,21 @@ def check_real(name: str, value, positive: bool) -> None:
         raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
+def check_array(name: str, a) -> np.ndarray:
+    """Return ``np.asarray(a)``; raise ``DimensionError`` if ``a`` is a
+    ragged nested sequence."""
+    try:
+        return np.asarray(a)
+    except ValueError as exc:
+        raise DimensionError(f"{name} is not a rectangular array: {exc}") from exc
+
+
 def check_matrix(name: str, a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Return ``a`` as a float64 array (``a`` itself if it is one); raise
     ``DimensionError`` unless it is 2-D with ``rows`` rows and ``cols``
     columns, where None allows any count, and ``ConfigurationError`` unless
     it holds real numbers (bool, integer or float)."""
-    try:
-        a = np.asarray(a)
-    except ValueError as exc:  # ragged nested sequences
-        raise DimensionError(f"{name} is not a rectangular array: {exc}") from exc
+    a = check_array(name, a)
     if a.dtype != np.float64:
         if a.dtype.kind not in "biuf":
             raise ConfigurationError(f"{name} must hold real numbers, got dtype {a.dtype}")
@@ -76,12 +82,13 @@ def check_matrix(name: str, a, rows: int | None = None, cols: int | None = None)
     return a
 
 
-def check_labels(v) -> np.ndarray:
+def check_labels(v, n: int | None = None) -> np.ndarray:
     """Return ``v`` as an int64 vector; raise ``DimensionError`` unless it is
-    1-D and ``ConfigurationError`` unless its values are 64-bit integers."""
-    a = np.asarray(v)
-    if a.ndim != 1:
-        raise DimensionError(f"label vector must be 1-D, got shape {a.shape}")
+    1-D with ``n`` entries, where None allows any count, and
+    ``ConfigurationError`` unless its values are 64-bit integers."""
+    a = check_array("labels", v)
+    if a.ndim != 1 or n is not None and len(a) != n:
+        raise DimensionError(f"labels must have shape ({'n' if n is None else n},), got {a.shape}")
     if a.dtype.kind == "f":
         # |a| < 2**63 also rejects nan and inf, and keeps the int64 cast exact
         integral = np.all(np.abs(a) < 2.0**63) and np.array_equal(a, np.trunc(a))

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DimensionError, NumericError, check_int, check_matrix, check_real,
+    ConfigurationError, DimensionError, NumericError,
+    check_array, check_int, check_matrix, check_real,
 )
 
 
@@ -167,7 +168,7 @@ def assigned_centroids(h: np.ndarray, r: ClusterResult) -> tuple[np.ndarray, np.
     Assignments must be a 1-D integer array (DimensionError if not 1-D)
     with values in [0, k) (ConfigurationError)."""
     centroids = check_matrix("centroids", r.centroids)
-    a = np.asarray(r.assignments)
+    a = check_array("assignments", r.assignments)
     if a.ndim != 1:
         raise DimensionError(f"assignments must be 1-D, got shape {a.shape}")
     h = check_matrix("h", h, len(a), centroids.shape[1])

@@ -9,29 +9,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DimensionError, NumericError, check_int, check_labels, check_matrix,
+    ConfigurationError, NumericError, check_array, check_int, check_labels, check_matrix,
 )
 
 
-def _check_pair(g, c) -> tuple[np.ndarray, np.ndarray]:
-    g, c = check_labels(g), check_labels(c)
-    if len(g) != len(c):
-        raise DimensionError(f"label lengths differ: {len(g)} vs {len(c)}")
+def _count_table(g, c):
+    """Joint counts of the distinct g (rows) and c (cols) labels, after
+    checking that both are label vectors of one non-zero length; also
+    returns those labels and c's indices into them."""
+    g = check_labels(g)
+    c = check_labels(c, len(g))
     if len(g) == 0:
         raise ConfigurationError("empty label vectors")
-    return g, c
-
-
-def _count_table(g: np.ndarray, c: np.ndarray):
-    """Joint counts of the distinct g (rows) and c (cols) labels; also
-    returns those labels and c's indices into them."""
     g_vals, gi = np.unique(g, return_inverse=True)
     c_vals, ci = np.unique(c, return_inverse=True)
     cells = np.bincount(gi * len(c_vals) + ci, minlength=len(g_vals) * len(c_vals))
     return cells.reshape(len(g_vals), len(c_vals)), g_vals, c_vals, ci
 
 
-def contingency(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+def contingency(g, c) -> np.ndarray:
     """Joint count matrix, rows indexed by distinct g labels, cols by c."""
     return _count_table(g, c)[0]
 
@@ -46,7 +42,6 @@ def nmi(g, c) -> float:
 
     Both partitions trivial (single cluster each) is defined as 1.
     """
-    g, c = _check_pair(g, c)
     joint = contingency(g, c) / len(g)
     pg = joint.sum(axis=1)
     pc = joint.sum(axis=0)
@@ -137,7 +132,6 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def matched(g, c) -> int:
     """How many points agree under the best one-to-one mapping between the
     labels of ``c`` and those of ``g``."""
-    g, c = _check_pair(g, c)
     table = contingency(g, c)  # rows g, cols c
     _, _, total = hungarian(-table.astype(np.float64).T)  # maximize matches
     return int(-total)  # a sum of counts below 2**53, so exact
@@ -163,7 +157,6 @@ def align_labels(reference, labels) -> np.ndarray:
     order: consecutive ones past the reference's largest label, or, where
     those would not fit in int64, the smallest labels from 0 that the
     reference does not use."""
-    reference, labels = _check_pair(reference, labels)
     table, ref_vals, lab_vals, li = _count_table(reference, labels)
     rows, cols, _ = hungarian(-table.astype(np.float64).T)
     out_map = np.empty(len(lab_vals), dtype=ref_vals.dtype)
@@ -180,10 +173,7 @@ def align_labels(reference, labels) -> np.ndarray:
 def gaussian_entropy(variances) -> float:
     """Differential entropy of an axis-aligned Gaussian,
     (1/2) ln(2 pi e * prod of variances)."""
-    try:
-        v = np.asarray(variances)
-    except ValueError as exc:  # ragged nested sequences
-        raise ConfigurationError(f"variances are not a rectangular array: {exc}") from exc
+    v = check_array("variances", variances)
     if (v.dtype.kind not in "biuf" or v.size == 0
             or not (np.isfinite(v).all() and (v > 0).all())):
         raise ConfigurationError(f"variances must be finite and positive, got {variances}")

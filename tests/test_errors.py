@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dekm import autoencoder as ae, core, kmeans as km, metrics
+from dekm import autoencoder as ae, core, data, kmeans as km, metrics
 from dekm.errors import ConfigurationError, DimensionError, NumericError, check_matrix
 
 H = np.arange(15.0).reshape(5, 3) ** 1.5  # 5 distinct points in 3-D
+RAGGED = [[0], [0, 1]]  # two labels, one of them a pair
 
 
 def _clustering():
@@ -18,8 +19,8 @@ def _transform():
 
 
 def _assigned(assignments):
-    """The two-cluster clustering of H with other assignments."""
-    return dataclasses.replace(_clustering(), assignments=np.asarray(assignments))
+    """The two-cluster clustering of H with other assignments, as given."""
+    return dataclasses.replace(_clustering(), assignments=assignments)
 
 
 def test_check_matrix_returns_a_float64_matrix_as_it_is():
@@ -59,7 +60,7 @@ CASES = {
     "gaussian_nan_variance": (ConfigurationError, lambda: metrics.gaussian_entropy([1.0, np.nan])),
     "gaussian_inf_variance": (ConfigurationError, lambda: metrics.gaussian_entropy([np.inf])),
     "gaussian_strings": (ConfigurationError, lambda: metrics.gaussian_entropy("ab")),
-    "gaussian_ragged": (ConfigurationError, lambda: metrics.gaussian_entropy([[1.0], [1.0, 2.0]])),
+    "gaussian_ragged": (DimensionError, lambda: metrics.gaussian_entropy([[1.0], [1.0, 2.0]])),
     "gaussian_complex": (ConfigurationError, lambda: metrics.gaussian_entropy([1j, 2])),
     "uniform_fractional_n": (ConfigurationError, lambda: metrics.uniform_entropy(2.5)),
     "uniform_bool_n": (ConfigurationError, lambda: metrics.uniform_entropy(True)),
@@ -97,6 +98,28 @@ CASES = {
         ConfigurationError,
         lambda: core.greedy_targets(H, _transform(), _assigned([0, 1, -1, 0, 1]), "all_dims_H"),
     ),
+    "scatter_ragged_assignments": (
+        DimensionError, lambda: km.within_class_scatter(H, _assigned([[0], [0, 1], 1, 0, 1])),
+    ),
+    "targets_ragged_assignments": (
+        DimensionError,
+        lambda: core.greedy_targets(H, _transform(), _assigned([[0], [0, 1]]), "all_dims_H"),
+    ),
+    "acc_ragged": (DimensionError, lambda: metrics.acc(RAGGED, [0, 1])),
+    "acc_ragged_second": (DimensionError, lambda: metrics.acc([0, 1], RAGGED)),
+    "nmi_ragged": (DimensionError, lambda: metrics.nmi(RAGGED, [0, 1])),
+    "changed_fraction_ragged": (DimensionError, lambda: core.changed_fraction(RAGGED, [0, 1])),
+    "align_labels_ragged": (DimensionError, lambda: metrics.align_labels([0, 1], RAGGED)),
+    "run_dekm_ragged_labels": (
+        DimensionError,
+        lambda: core.run_dekm(ae.xavier_init([3, 2], 0), H, core.DekmConfig(k=2),
+                              labels=[[0], [0, 1], 1, 1, 0]),
+    ),
+    "contingency_strings": (ConfigurationError, lambda: metrics.contingency(["a", "b"], [0, 1])),
+    "contingency_fraction": (ConfigurationError, lambda: metrics.contingency([0, 1], [0.5, 1])),
+    "contingency_complex": (ConfigurationError, lambda: metrics.contingency([0, 1j], [0, 1])),
+    "contingency_unequal": (DimensionError, lambda: metrics.contingency([0, 1, 1], [0, 1])),
+    "contingency_ragged": (DimensionError, lambda: metrics.contingency(RAGGED, [0, 1])),
     "run_dekm_config_not_a_dekm_config": (
         ConfigurationError, lambda: core.run_dekm(ae.xavier_init([3, 2], 0), H, {"k": 2}),
     ),
@@ -112,3 +135,21 @@ def test_bad_arguments_fail_at_the_boundary(case):
     error, call = CASES[case]
     with pytest.raises(error):
         call()
+
+
+SAVE_CSV_CASES = {
+    "fractional_labels": (ConfigurationError, np.ones((3, 2)), [0.5, 1.7, 2.2]),
+    "short_labels": (DimensionError, np.ones((3, 2)), [0, 1]),
+    "string_labels": (ConfigurationError, np.ones((3, 2)), ["a", "b", "c"]),
+    "complex_x": (ConfigurationError, np.ones((3, 2)) + 1j, [0, 1, 2]),
+    "vector_x": (DimensionError, np.ones(3), [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", SAVE_CSV_CASES)
+def test_save_csv_rejects_bad_arguments_before_writing(tmp_path, case):
+    error, x, labels = SAVE_CSV_CASES[case]
+    path = tmp_path / "out.csv"
+    with pytest.raises(error):
+        data.save_csv(path, x, labels)
+    assert not path.exists()

@@ -1,4 +1,4 @@
-"""Exact relations between runs of ``run_dekm``.
+"""Exact relations between runs of ``run_dekm`` and of ``dekm run``.
 
 Both sides of each comparison run in the same process, on the same BLAS
 kernel, so these hold bit for bit on any host, where the SHA-256 pins hold
@@ -6,6 +6,7 @@ only for the kernel they were recorded with. They do not catch a change
 that moves every run alike; the pins do.
 """
 
+import json
 import os
 import platform
 import subprocess
@@ -17,16 +18,20 @@ import numpy as np
 import pytest
 
 from dekm import autoencoder as ae
-from dekm import data
+from dekm import cli, data
 from dekm.core import BATCH_MODES, STRATEGIES, DekmConfig, run_dekm
 
 CASES = [(s, b) for s in STRATEGIES for b in BATCH_MODES]
 
 
+# the data every relation runs on, as a dataset spec; it sets its own seed,
+# so a run's top-level seed does not change the data
+SYNTHETIC = {"k": 4, "per_cluster_n": 500, "latent_dim": 2, "ambient_dim": 10,
+             "separation": 3.0, "seed": 42}
+
+
 def _pretrained():
-    ds = data.gen_synthetic(
-        k=4, per_cluster_n=500, latent_dim=2, ambient_dim=10, separation=3.0, seed=42
-    )
+    ds = data.gen_synthetic(**SYNTHETIC)
     m = ae.xavier_init([10, 32, 32, 4], seed=0)
     m, _ = ae.pretrain(m, ds.x, epochs=5)
     return ds, m
@@ -79,6 +84,58 @@ def test_no_update_steps_leave_the_model_unchanged(pretrained, strategy, batch_m
     assert history.updates >= 1  # the update phase ran, with no step in it
 
 
+def _dekm_run(tmp_path, name, config, *flags):
+    """Run ``dekm run`` on ``config`` with ``flags``; return the records of
+    its history.jsonl, its results.json and the rows of its embedding.csv
+    below the config comment."""
+    path, out = tmp_path / f"{name}.json", tmp_path / name
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(out), *flags]) == 0
+    history = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
+    results = json.loads((out / "results.json").read_text())
+    return history, results, (out / "embedding.csv").read_text().splitlines()[1:]
+
+
+# a small ``dekm run`` that pretrains each repeat's model with its own seed
+SMALL_RUN = {
+    "dataset": {"type": "synthetic", **SYNTHETIC, "per_cluster_n": 60},
+    "hidden_dims": [12, 12],
+    "pretrain_epochs": 5,
+    "dekm": {"k": 4, "max_outer_iters": 3},
+    "repeats": 2,
+    "seed": 7,
+}
+
+
+def test_repeat_r_is_a_one_repeat_run_with_seed_s_plus_r(tmp_path):
+    history, results, embedding = _dekm_run(tmp_path, "all", SMALL_RUN)
+    for r in range(SMALL_RUN["repeats"]):
+        seed = str(SMALL_RUN["seed"] + r)
+        one_history, one_results, one_embedding = _dekm_run(
+            tmp_path, f"one{r}", SMALL_RUN, "--repeats", "1", "--seed", seed
+        )
+        assert [dict(rec, repeat=r) for rec in one_history] == [
+            rec for rec in history if rec["repeat"] == r
+        ]
+        assert dict(one_results["runs"][0], repeat=r) == results["runs"][r]
+    assert one_embedding == embedding  # the last repeat's
+
+
+def test_dekm_run_writes_the_records_of_run_dekm(pretrained, tmp_path):
+    ds, m = pretrained
+    start = tmp_path / "start.json"
+    ae.save_checkpoint(start, m)
+    config = {"dataset": {"type": "synthetic", **SYNTHETIC}, "hidden_dims": [32, 32],
+              "dekm": {"k": 4, "max_outer_iters": 3}, "repeats": 2, "seed": 3}
+    history, _, _ = _dekm_run(tmp_path, "run", config, "--checkpoint", str(start))
+    expected = []
+    for r in range(config["repeats"]):
+        cfg = DekmConfig(**config["dekm"], seed=config["seed"] + r)
+        _, _, h = run_dekm(m.copy(), ds.x, cfg, ds.labels)
+        expected += [dict(rec, repeat=r, seconds=None) for rec in h.as_dicts()]
+    assert history == expected
+
+
 def _openblas_on_x86_64() -> bool:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -92,12 +149,17 @@ def test_the_relations_hold_under_the_haswell_kernel():
     # OpenBLAS picks its kernel when numpy loads, so a second kernel needs a
     # second process; it calls the relations above without pytest's start-up
     code = textwrap.dedent("""
+        import contextlib, io, tempfile
+        from pathlib import Path
         import test_relations as t
         pretrained = t._pretrained()
         for case in t.CASES:
             t.test_a_shorter_budget_runs_a_prefix_of_the_longer_run(pretrained, *case)
             t.test_labels_are_read_only(pretrained, *case)
             t.test_no_update_steps_leave_the_model_unchanged(pretrained, *case)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            t.test_repeat_r_is_a_one_repeat_run_with_seed_s_plus_r(Path(tmp))
+            t.test_dekm_run_writes_the_records_of_run_dekm(pretrained, Path(tmp))
         print(len(t.CASES))
     """)
     here = Path(__file__).resolve().parent
