@@ -20,7 +20,7 @@ import numpy as np
 from .data import open_input, write_text
 from .errors import (
     ConfigurationError, DimensionError, DivergenceError, FormatError, NumericError,
-    check_int, check_matrix, check_real,
+    check_int, check_matrix, check_real, check_size,
 )
 
 CHECKPOINT_VERSION = 1
@@ -43,11 +43,13 @@ def _size(groups) -> int:
 
 
 def _check_dims(dims) -> None:
-    """ConfigurationError unless ``dims`` is a list or tuple of >= 2 integer widths >= 1."""
+    """ConfigurationError unless ``dims`` is a list or tuple of >= 2 integer
+    widths >= 1 whose parameters numpy can hold in one array."""
     if not isinstance(dims, (list, tuple)) or len(dims) < 2:
         raise ConfigurationError(f"need a list of two or more layer widths, got {dims!r}")
     for i, d in enumerate(dims):
         check_int(f"layer width {i}", d, 1)
+    check_size(f"a model of layer widths {list(dims)}", _size(_param_groups(dims)))
 
 
 @dataclass

@@ -151,13 +151,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-# column name -> (strategy, batch mode)
+# column name -> the DekmConfig overrides its runs apply to the loop config
 ABLATION_VARIANTS = {
-    "last_dim_Y": ("last_dim_Y", "mini_batch"),
-    "random_dim_Y": ("random_dim_Y", "mini_batch"),
-    "random_dim_H": ("random_dim_H", "mini_batch"),
-    "all_dims_H": ("all_dims_H", "mini_batch"),
-    "last_dim_Y_full": ("last_dim_Y", "full_batch"),
+    "last_dim_Y": {"strategy": "last_dim_Y", "batch_mode": "mini_batch"},
+    "random_dim_Y": {"strategy": "random_dim_Y", "batch_mode": "mini_batch"},
+    "random_dim_H": {"strategy": "random_dim_H", "batch_mode": "mini_batch"},
+    "all_dims_H": {"strategy": "all_dims_H", "batch_mode": "mini_batch"},
+    "last_dim_Y_full": {"strategy": "last_dim_Y", "batch_mode": "full_batch"},
 }
 
 
@@ -174,14 +174,9 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     base_models = {seed: start(seed) for seed in range(cfg.seed, cfg.seed + cfg.repeats)}
 
     acc_runs = {}
-    for name, (strategy, batch_mode) in ABLATION_VARIANTS.items():
+    for name, overrides in ABLATION_VARIANTS.items():
         runs, _, history_text = _run_repeats(
-            cfg,
-            ds,
-            lambda seed: base_models[seed].copy(),
-            {"variant": name},
-            strategy=strategy,
-            batch_mode=batch_mode,
+            cfg, ds, lambda seed: base_models[seed].copy(), {"variant": name}, **overrides
         )
         data.write_text(out / f"history_{name}.jsonl", history_text)
         acc_runs[name] = [[rec.acc for rec in history.records] for history, _ in runs]
@@ -271,8 +266,9 @@ def main(argv=None) -> int:
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except DekmError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (DekmError, MemoryError) as exc:
+            # numpy's MemoryError names the allocation; a bare one says nothing
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 1
 
 

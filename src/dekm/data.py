@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigurationError, FormatError, check_int, check_labels, check_matrix, check_real,
+    ConfigurationError, FormatError, check_int, check_labels, check_matrix, check_real, check_size,
 )
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -241,13 +241,10 @@ def check_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed)
         raise ConfigurationError(
             f"ambient_dim {ambient_dim} must be >= latent_dim {latent_dim}"
         )
-    # its largest float64 arrays, sized in Python ints, which cannot wrap
-    size = int(k) * max(int(per_cluster_n) * int(ambient_dim), int(k) * int(latent_dim))
-    if 8 * size > np.iinfo(np.intp).max:
-        raise ConfigurationError(
-            "sizes too large: a (k * per_cluster_n, ambient_dim) or (k, k, latent_dim) "
-            "array exceeds numpy's limit"
-        )
+    check_size(  # its largest float64 arrays
+        "a (k * per_cluster_n, ambient_dim) or (k, k, latent_dim) array",
+        int(k) * max(int(per_cluster_n) * int(ambient_dim), int(k) * int(latent_dim)),
+    )
 
 
 def gen_synthetic(

@@ -56,6 +56,14 @@ def check_real(name: str, value, positive: bool) -> None:
         raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
+def check_size(what: str, count: int) -> None:
+    """Raise ``ConfigurationError`` if ``count`` float64 values, counted in
+    Python ints (which cannot wrap), are more than numpy can hold in one
+    array (``np.iinfo(np.intp).max`` bytes)."""
+    if 8 * count > np.iinfo(np.intp).max:
+        raise ConfigurationError(f"{what} is too large: its float64 values exceed numpy's limit")
+
+
 def check_array(name: str, a) -> np.ndarray:
     """Return ``np.asarray(a)``; raise ``DimensionError`` if ``a`` is a
     ragged nested sequence."""

@@ -85,37 +85,35 @@ def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
 
 def _repair_empty(h, assignments, centroids, counts):
     """Move the globally farthest-from-its-centroid point into each cluster
-    empty on entry. ``counts`` is ``bincount(assignments, minlength=k)``; it,
-    ``assignments`` and ``centroids`` are updated in place."""
+    empty on entry. ``counts`` is ``bincount(assignments, minlength=k)``; it
+    and ``assignments`` are updated in place, ``centroids`` is only read."""
     for j in np.flatnonzero(counts == 0):
         dist = np.sum((h - centroids[assignments]) ** 2, axis=1)
         # never steal a singleton, that would just move the hole; while one
-        # cluster is empty, n >= k leaves another with two or more members
+        # cluster is empty, n >= k leaves another with two or more members.
+        # The mask also hides each moved donor, now cluster j's one member.
         dist[counts[assignments] <= 1] = -1.0
         donor = int(np.argmax(dist))
         counts[assignments[donor]] -= 1
         counts[j] += 1
         assignments[donor] = j
-        centroids[j] = h[donor]
 
 
-def _means(h, assignments, counts, fallback):
-    """Member means from one stable sort: cluster j's rows are one slice of
-    the sorted rows, in the order ``h[assignments == j]`` has them. Summing
-    that slice with ``add.reduce`` and dividing by the count is what
-    ``h[assignments == j].mean(axis=0)`` does, so the result is
-    bit-identical to it. Empty clusters keep their ``fallback`` row."""
-    centroids = fallback.copy()
+def _means(h, assignments, counts):
+    """Member means of clusters that are all non-empty, from one stable
+    sort: cluster j's rows are one slice of the sorted rows, in the order
+    ``h[assignments == j]`` has them. Summing that slice with ``add.reduce``
+    and dividing by the count is what ``h[assignments == j].mean(axis=0)``
+    does, so the result is bit-identical to it."""
+    centroids = np.empty((len(counts), h.shape[1]))
     # 8- or 16-bit keys (k < 65536): numpy's stable sort is a radix sort
     keys = assignments.astype(np.min_scalar_type(len(counts)))
     hs = np.take(h, np.argsort(keys, kind="stable"), axis=0)
     lo = 0
     for j, c in enumerate(counts.tolist()):
-        if c:
-            np.add.reduce(hs[lo : lo + c], axis=0, out=centroids[j])
-            lo += c
-    nz = counts > 0
-    centroids[nz] /= counts[nz, None]
+        np.add.reduce(hs[lo : lo + c], axis=0, out=centroids[j])
+        lo += c
+    centroids /= counts[:, None]
     return centroids
 
 
@@ -137,19 +135,18 @@ def lloyd(
     is hit. Assignments that repeat give bit-identical means and inertia,
     so they always stop it. Non-finite ``h`` is a NumericError."""
     h = _check_points(h, k)
-    init_centroids = check_matrix("init_centroids", init_centroids, k, h.shape[1])
+    centroids = check_matrix("init_centroids", init_centroids, k, h.shape[1])
     check_int("max_iter", max_iter, 1)
     check_real("tol", tol, positive=False)
 
     h_norms = _row_norms(h)
-    centroids = init_centroids.copy()
     trace: list[float] = []
     for i in range(max_iter):
         # argmin takes the lowest index on ties
         assignments = np.argmin(_sq_dists(h, centroids, h_norms), axis=1)
         counts = np.bincount(assignments, minlength=k)
         _repair_empty(h, assignments, centroids, counts)
-        centroids = _means(h, assignments, counts, centroids)
+        centroids = _means(h, assignments, counts)
         trace.append(_inertia(h, centroids, assignments))
         if i and np.isfinite(trace[-2]) and trace[-2] - trace[-1] <= tol * max(trace[-2], 1e-300):
             break

@@ -6,6 +6,8 @@ All entropies use natural logarithms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -181,6 +183,7 @@ def gaussian_entropy(variances) -> float:
 
 
 def uniform_entropy(n: int) -> float:
-    """Entropy of a uniform distribution over n outcomes, ln(n)."""
+    """Entropy of a uniform distribution over n outcomes, ln(n); ``math.log``
+    takes an integer of any size."""
     check_int("n", n, 1)
-    return float(np.log(n))
+    return math.log(n)

@@ -642,6 +642,45 @@ def test_a_diverging_run_prints_only_its_error_line(small_config, capsys, keys, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["pretrain", "run", "ablate"])
+@pytest.mark.parametrize("key, value", [
+    ("hidden_dims", [10**30]),
+    ("embedding_dim", 2**63),
+    ("embedding_dim", 10**40),
+    ("dekm.k", 2**63),
+    ("dekm.k", 10**40),
+], ids=["hidden_dims-1e30", "embedding_dim-2**63", "embedding_dim-1e40", "k-2**63", "k-1e40"])
+def test_a_model_numpy_cannot_hold_exits_2(small_config, capsys, command, key, value):
+    cfg_path, _ = small_config
+    cfg = json.loads(cfg_path.read_text())
+    if key.startswith("dekm."):
+        cfg["dekm"][key[len("dekm."):]] = value
+    else:
+        cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a model of layer widths [8, ") and err.count("\n") == 1
+    assert "is too large" in err
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 61.0 TiB for an array with shape (8388608000000,) and data type float64",
+     "Unable to allocate 61.0 TiB for an array with shape (8388608000000,) and data type float64"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_prints_one_error_line(
+    small_config, monkeypatch, capsys, message, line
+):
+    def no_memory(dims, seed):  # the model allocation, failing as np.zeros does
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.ae, "xavier_init", no_memory)
+    cfg_path, _ = small_config
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 # flag -> (its value on the command line, the config key it sets, the value
 # it sets there), written out independently of dekm.config.FLAGS
 FLAG_VALUES = {

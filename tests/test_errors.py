@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,10 @@ CASES = {
     "uniform_fractional_n": (ConfigurationError, lambda: metrics.uniform_entropy(2.5)),
     "uniform_bool_n": (ConfigurationError, lambda: metrics.uniform_entropy(True)),
     "xavier_negative_seed": (ConfigurationError, lambda: ae.xavier_init([3, 2], seed=-1)),
+    "xavier_too_wide": (ConfigurationError, lambda: ae.xavier_init([4, 10**30, 3], 0)),
+    "model_dims_too_wide": (
+        ConfigurationError, lambda: ae.AutoencoderModel([4, 2**63], np.zeros(3)),
+    ),
     "kmeanspp_negative_seed": (ConfigurationError, lambda: km.kmeanspp_init(H, 2, -1)),
     "matrix_ragged": (DimensionError, lambda: check_matrix("h", [[1.0, 2.0], [3.0]])),
     "matrix_strings": (ConfigurationError, lambda: check_matrix("h", [["1", "2"]])),
@@ -135,6 +140,11 @@ def test_bad_arguments_fail_at_the_boundary(case):
     error, call = CASES[case]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("n", [2**64, 10**400], ids=["2**64", "10**400"])
+def test_uniform_entropy_takes_an_integer_of_any_size(n):
+    assert metrics.uniform_entropy(n) == math.log(n)
 
 
 SAVE_CSV_CASES = {

@@ -235,20 +235,29 @@ def _reference_repair_empty(h, assignments, centroids, k):
         centroids[j] = h[donor]
 
 
-def _reference_means(h, assignments, k, fallback):
-    centroids = fallback.copy()
-    for j in range(k):
-        mask = assignments == j
-        if mask.any():
-            centroids[j] = h[mask].mean(axis=0)
-    return centroids
+def _reference_means(h, assignments, k):
+    return np.array([h[assignments == j].mean(axis=0) for j in range(k)])
+
+
+def test_lloyd_never_writes_its_initial_centroids(rng):
+    # two far-away centroids start empty, so the repair moves points into them
+    h = rng.normal(size=(40, 3))
+    init = np.vstack([h[:3], np.full((2, 3), 1e3)])
+    before = init.tobytes()
+    res = km.lloyd(h, 5, init)
+    assert init.tobytes() == before
+    assert not np.shares_memory(res.centroids, init)
+    assert np.bincount(res.assignments, minlength=5).min() >= 1
 
 
 @pytest.mark.parametrize("e", [1, 3, 10, 32])
 def test_lloyd_steps_match_out_of_place_formulas_bit_for_bit(rng, e):
-    # The in-place distance buffer, the sort-based means and the in-place
-    # inertia against the per-cluster-mask and whole-array forms they
-    # replace, with empty clusters, Fortran-ordered input and -0.0 entries.
+    # The in-place distance buffer, the repair, the sort-based means and the
+    # in-place inertia against the per-cluster-mask and whole-array forms
+    # they replace, with empty clusters, Fortran-ordered input and -0.0
+    # entries. The reference repair also writes each donor's row into the
+    # centroids; the donor is then its cluster's one member, masked as a
+    # singleton, so the moves do not depend on that write.
     for trial in range(12):
         n, k = int(rng.integers(40, 400)), int(rng.integers(2, 40))
         h = rng.normal(size=(n, e)) * rng.uniform(0.1, 10.0)
@@ -264,20 +273,21 @@ def test_lloyd_steps_match_out_of_place_formulas_bit_for_bit(rng, e):
         # draw from a subset of the clusters so that some are empty
         used = rng.choice(k, size=max(1, k - int(rng.integers(0, k))), replace=False)
         a = used[rng.integers(len(used), size=n)]
-        ref_a, ref_c = a.copy(), c.copy()
-        _reference_repair_empty(h, ref_a, ref_c, k)
+        ref_a, before = a.copy(), c.copy()
+        _reference_repair_empty(h, ref_a, c.copy(), k)
         counts = np.bincount(a, minlength=k)
         km._repair_empty(h, a, c, counts)
-        assert np.array_equal(a, ref_a) and np.array_equal(c, ref_c)
+        assert np.array_equal(a, ref_a)
+        assert c.tobytes() == before.tobytes()  # the repair writes no centroid
         assert np.array_equal(counts, np.bincount(a, minlength=k))
+        assert counts.min() >= 1
 
-        # means with empty clusters left in (they keep the fallback row)
-        sub = used[rng.integers(len(used), size=n)]
-        means = km._means(h, sub, np.bincount(sub, minlength=k), c)
-        ref = _reference_means(h, sub, k, c)
+        # means of the repaired assignments, where every cluster has a member
+        means = km._means(h, a, counts)
+        ref = _reference_means(h, a, k)
         assert np.array_equal(means, ref)
         assert np.array_equal(np.signbit(means), np.signbit(ref))
-        assert km._inertia(h, ref, sub) == float(np.sum((h - ref[sub]) ** 2))
+        assert km._inertia(h, ref, a) == float(np.sum((h - ref[a]) ** 2))
 
 
 @pytest.mark.parametrize("seed", range(6))

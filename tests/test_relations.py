@@ -84,6 +84,19 @@ def test_no_update_steps_leave_the_model_unchanged(pretrained, strategy, batch_m
     assert history.updates >= 1  # the update phase ran, with no step in it
 
 
+@pytest.mark.parametrize("batch_mode", BATCH_MODES)
+def test_a_checkpoint_round_trip_gives_the_same_run(pretrained, tmp_path, batch_mode):
+    ds, m = pretrained
+    ae.save_checkpoint(tmp_path / "m.json", m)
+    loaded, _ = ae.load_checkpoint(tmp_path / "m.json")
+    cfg = DekmConfig(k=4, batch_mode=batch_mode, seed=3, max_outer_iters=3)
+    res, model, history = run_dekm(loaded, ds.x, cfg, ds.labels)
+    ref_res, ref_model, ref_history = run_dekm(m.copy(), ds.x, cfg, ds.labels)
+    assert _records(history) == _records(ref_history)
+    assert np.array_equal(res.assignments, ref_res.assignments)
+    assert model.flat.tobytes() == ref_model.flat.tobytes()
+
+
 def _dekm_run(tmp_path, name, config, *flags):
     """Run ``dekm run`` on ``config`` with ``flags``; return the records of
     its history.jsonl, its results.json and the rows of its embedding.csv
@@ -119,6 +132,30 @@ def test_repeat_r_is_a_one_repeat_run_with_seed_s_plus_r(tmp_path):
         ]
         assert dict(one_results["runs"][0], repeat=r) == results["runs"][r]
     assert one_embedding == embedding  # the last repeat's
+
+
+# ablate column -> the strategy and batch mode of its runs
+COLUMNS = {
+    "last_dim_Y": ("last_dim_Y", "mini_batch"),
+    "random_dim_Y": ("random_dim_Y", "mini_batch"),
+    "random_dim_H": ("random_dim_H", "mini_batch"),
+    "all_dims_H": ("all_dims_H", "mini_batch"),
+    "last_dim_Y_full": ("last_dim_Y", "full_batch"),
+}
+
+
+def test_an_ablate_column_is_a_dekm_run_with_its_strategy_and_batch_mode(tmp_path):
+    path, out = tmp_path / "ablate.json", tmp_path / "ablate"
+    path.write_text(json.dumps(SMALL_RUN))
+    assert cli.main(["ablate", "--config", str(path), "--out", str(out)]) == 0
+    for name, (strategy, batch_mode) in COLUMNS.items():
+        text = (out / f"history_{name}.jsonl").read_text()
+        column = [json.loads(line) for line in text.splitlines()]
+        assert all(rec.pop("variant") == name for rec in column)
+        history, _, _ = _dekm_run(
+            tmp_path, name, SMALL_RUN, "--strategy", strategy, "--batch-mode", batch_mode
+        )
+        assert column == history
 
 
 def test_dekm_run_writes_the_records_of_run_dekm(pretrained, tmp_path):
@@ -160,6 +197,9 @@ def test_the_relations_hold_under_the_haswell_kernel():
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
             t.test_repeat_r_is_a_one_repeat_run_with_seed_s_plus_r(Path(tmp))
             t.test_dekm_run_writes_the_records_of_run_dekm(pretrained, Path(tmp))
+            for batch_mode in t.BATCH_MODES:
+                t.test_a_checkpoint_round_trip_gives_the_same_run(pretrained, Path(tmp), batch_mode)
+            t.test_an_ablate_column_is_a_dekm_run_with_its_strategy_and_batch_mode(Path(tmp))
         print(len(t.CASES))
     """)
     here = Path(__file__).resolve().parent
