@@ -3,8 +3,7 @@ clustering with greedy entropy reduction along the least-informative
 eigen-direction of the within-class scatter matrix.
 
 Submodules are imported explicitly (``from dekm import core``) to keep this
-package root import-light; the CLI relies on that to configure BLAS thread
-caps before numpy loads.
+package root import-light.
 """
 
 __version__ = "0.1.0"

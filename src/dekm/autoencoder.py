@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import open_input, write_text
 from .errors import (
-    ConfigurationError, DimensionError, DivergenceError, FormatError, NumericError,
+    ConfigurationError, DimensionError, DivergenceError, FormatError,
     check_int, check_matrix, check_real, check_size,
 )
 
@@ -183,12 +183,12 @@ def _backward(ws, acts, mask, gw, gb):
 
 
 def encode(m: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    x = check_matrix("input", x, cols=m.input_dim)
+    x = check_matrix("input", x, cols=m.input_dim, finite=True)
     return _output(m.enc_w, m.enc_b, x)
 
 
 def decode(m: AutoencoderModel, h: np.ndarray) -> np.ndarray:
-    h = check_matrix("embedding", h, cols=m.embedding_dim)
+    h = check_matrix("embedding", h, cols=m.embedding_dim, finite=True)
     return _output(m.dec_w, m.dec_b, h)
 
 
@@ -235,7 +235,7 @@ def _work(grad: AutoencoderModel, chain: str, rows: int):
 def backprop_reconstruction(m: AutoencoderModel, x: np.ndarray, grad: AutoencoderModel) -> float:
     """Gradient of sum ||x - g(f(x))||^2 w.r.t. all parameters, written into
     ``grad`` (a model of the same dims); returns the loss."""
-    x = check_matrix("input", x, cols=m.input_dim)
+    x = check_matrix("input", x, cols=m.input_dim, finite=True)
     _check_grad(m, grad)
     (*enc, _), mask = _work(grad, "enc", x.shape[0])
     (*dec, diff), _ = _work(grad, "dec", x.shape[0])
@@ -254,7 +254,7 @@ def backprop_embedding(
     """Gradient of sum ||f(x) - targets||^2 w.r.t. the encoder's parameters,
     written into ``grad.encoder_flat`` (``grad`` is a model of the same dims;
     its decoder part is left as it was); returns the loss."""
-    x = check_matrix("input", x, cols=m.input_dim)
+    x = check_matrix("input", x, cols=m.input_dim, finite=True)
     targets = check_matrix("targets", targets, x.shape[0], m.embedding_dim)
     _check_grad(m, grad)
     (*enc, diff), mask = _work(grad, "enc", x.shape[0])
@@ -379,9 +379,7 @@ def pretrain(
     check_int("batch_size", batch_size, 1)
     check_int("seed", seed, 0)
     check_real("lr", lr, positive=True)
-    x = check_matrix("input", x, cols=m.input_dim)
-    if not np.isfinite(x).all():
-        raise NumericError("input contains non-finite values")
+    x = check_matrix("input", x, cols=m.input_dim, finite=True)
     grad = AutoencoderModel(m.dims, np.empty_like(m.flat))
     adam = AdamState.for_params([m.flat], lr=lr)
 
@@ -411,7 +409,7 @@ def save_checkpoint(path, m: AutoencoderModel, meta: dict | None = None) -> None
         "enc_b": [pack(a) for a in m.enc_b],
         "dec_w": [pack(a) for a in m.dec_w],
         "dec_b": [pack(a) for a in m.dec_b],
-        "meta": meta or {},
+        "meta": {} if meta is None else meta,
     }
     try:
         text = json.dumps(doc)

@@ -6,14 +6,6 @@ the resolved config for provenance. Timing lives in a separate section of
 results.json so determinism checks can hash the rest.
 """
 
-import os
-
-# Cap BLAS parallelism before numpy is imported anywhere in this process.
-_threads = os.environ.get("DEKM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import dataclasses
 import json

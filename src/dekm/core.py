@@ -24,7 +24,7 @@ from . import autoencoder as ae
 from . import kmeans as km
 from . import metrics
 from .errors import (
-    ConfigurationError, ConvergenceError, DimensionError, NumericError,
+    ConfigurationError, ConvergenceError, DimensionError,
     check_int, check_labels, check_matrix, check_real,
 )
 
@@ -64,11 +64,11 @@ class DekmConfig:
             raise ConfigurationError(
                 f"stop_fraction must be in (0, 1), got {self.stop_fraction}"
             )
-        if self.strategy not in STRATEGIES:
+        if not isinstance(self.strategy, str) or self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
-        if self.batch_mode not in BATCH_MODES:
+        if not isinstance(self.batch_mode, str) or self.batch_mode not in BATCH_MODES:
             raise ConfigurationError(
                 f"unknown batch mode {self.batch_mode!r}; expected one of {BATCH_MODES}"
             )
@@ -118,11 +118,9 @@ def build_transform(s_w: np.ndarray) -> TransformState:
     of largest magnitude is positive, so the signs do not depend on LAPACK.
     Raises NumericError on non-finite entries and ConvergenceError if
     LAPACK fails to converge."""
-    s = check_matrix("s_w", s_w)
+    s = check_matrix("s_w", s_w, finite=True)
     if s.shape[0] != s.shape[1] or s.size == 0:
         raise DimensionError(f"expected a non-empty square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise NumericError("matrix contains non-finite entries")
     try:
         eigenvalues, vecs = np.linalg.eigh(0.5 * (s + s.T))  # ascending
     except np.linalg.LinAlgError as exc:
@@ -144,18 +142,19 @@ def greedy_targets(
     toward its centroid c along the eigenvector u = ``t.v[dim]`` only:
     h + ((c - h) . u) u, which replaces coordinate ``dim`` of y = V h since V
     is orthonormal. Random-dimension strategies draw ``dim`` once, from
-    ``rng``. The targets are built in the centroid gather, in the operation
-    order of that expression, so they are bit-identical to it."""
+    ``rng``, a numpy Generator. The targets are built in the centroid
+    gather, in the operation order of that expression, so they are
+    bit-identical to it."""
     h, targets = km.assigned_centroids(h, r)
-    if strategy not in STRATEGIES:
+    if not isinstance(strategy, str) or strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     if strategy == "all_dims_H":
         return targets
     if strategy == "last_dim_Y":
         dim = h.shape[1] - 1
     else:
-        if rng is None:
-            raise ConfigurationError(f"strategy {strategy!r} needs an rng")
+        if not isinstance(rng, np.random.Generator):
+            raise ConfigurationError(f"strategy {strategy!r} needs a numpy Generator as rng")
         dim = int(rng.integers(h.shape[1]))
     if strategy == "random_dim_H":
         column = targets[:, dim].copy()
@@ -234,11 +233,9 @@ def run_dekm(
     """
     if not isinstance(config, DekmConfig):
         raise ConfigurationError(f"config must be a DekmConfig, got {type(config).__name__}")
-    x = check_matrix("x", x, cols=model.input_dim)
+    x = check_matrix("x", x, cols=model.input_dim, finite=True)
     if x.shape[0] < config.k:
         raise ConfigurationError(f"{x.shape[0]} samples for k={config.k}")
-    if not np.isfinite(x).all():
-        raise NumericError("input contains non-finite values")
     labels = None if labels is None else check_labels(labels, x.shape[0])
     rng = np.random.default_rng(config.seed)
     adam = ae.AdamState.for_params([model.encoder_flat], lr=config.lr)

@@ -34,11 +34,20 @@ class Dataset:
         return self.x.shape[1]
 
 
+def _check_path(path, what):
+    """Raise ``ConfigurationError`` unless ``path`` is a ``str`` or an
+    ``os.PathLike``: ``open`` would take an int or a bool as a file
+    descriptor, and read, write or close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigurationError(f"{what} must be a path, got {type(path).__name__}")
+
+
 def open_input(path, mode="r", what="file"):
     """``open`` for a file the package reads, as UTF-8 unless ``mode`` is
-    binary. One that cannot be opened (missing, a directory in its place, a
-    NUL byte in its path) is a ``ConfigurationError`` naming it by its
-    ``repr``, as ``open_output`` and ``output_dir`` do, so a NUL reads ``\\x00``."""
+    binary. One that is not a path or cannot be opened (missing, a
+    directory, a NUL byte in it) is a ``ConfigurationError`` naming it by
+    its ``repr``, as ``open_output`` and ``output_dir`` do, so a NUL reads ``\\x00``."""
+    _check_path(path, what)
     try:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
@@ -46,8 +55,9 @@ def open_input(path, mode="r", what="file"):
 
 
 def open_output(path):
-    """``open(path, "w")`` for an output file: one that cannot be opened (a
-    directory in its place, say) is a ``ConfigurationError``."""
+    """``open(path, "w")`` for an output file: one that is not a path or
+    cannot be opened (a directory in its place, say) is a ``ConfigurationError``."""
+    _check_path(path, "output file")
     try:
         return open(path, "w")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
@@ -62,7 +72,8 @@ def write_text(path, text: str) -> None:
 def output_dir(path, *names) -> Path:
     """Create the output directory ``path`` and check that each file in
     ``names`` can be written there, creating or truncating none. A fault (a
-    file or directory in the way, a NUL byte) is a ``ConfigurationError``."""
+    file or directory in the way, a NUL byte, not a path) is a ``ConfigurationError``."""
+    _check_path(path, "output directory")
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -208,9 +219,12 @@ def save_csv(path, x: np.ndarray, labels=None, header: str = "") -> None:
     """Write ``header`` verbatim, then features (repr-precision floats)
     with an optional trailing integer label column, formatted from
     ``tolist()`` and written a block of rows at a time. ``x`` must be a
-    real matrix and ``labels`` one integer per row (``check_matrix``,
-    ``check_labels``)."""
+    real matrix, ``labels`` one integer per row (``check_matrix``,
+    ``check_labels``) and ``header`` a string, all checked before the file
+    is opened."""
     x = check_matrix("x", x)
+    if not isinstance(header, str):
+        raise ConfigurationError(f"header must be a string, got {type(header).__name__}")
     labels = None if labels is None else check_labels(labels, x.shape[0])
     rows = max(1, CSV_BLOCK_CELLS // max(1, x.shape[1]))
     with open_output(path) as f:

@@ -73,11 +73,13 @@ def check_array(name: str, a) -> np.ndarray:
         raise DimensionError(f"{name} is not a rectangular array: {exc}") from exc
 
 
-def check_matrix(name: str, a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def check_matrix(name: str, a, rows: int | None = None, cols: int | None = None,
+                 finite: bool = False) -> np.ndarray:
     """Return ``a`` as a float64 array (``a`` itself if it is one); raise
     ``DimensionError`` unless it is 2-D with ``rows`` rows and ``cols``
-    columns, where None allows any count, and ``ConfigurationError`` unless
-    it holds real numbers (bool, integer or float)."""
+    columns, where None allows any count, ``ConfigurationError`` unless it
+    holds real numbers (bool, integer or float), and, if ``finite``,
+    ``NumericError`` unless they are all finite."""
     a = check_array(name, a)
     if a.dtype != np.float64:
         if a.dtype.kind not in "biuf":
@@ -87,6 +89,8 @@ def check_matrix(name: str, a, rows: int | None = None, cols: int | None = None)
             or cols is not None and a.shape[1] != cols):
         want = f"({'n' if rows is None else rows}, {'d' if cols is None else cols})"
         raise DimensionError(f"{name} must have shape {want}, got {a.shape}")
+    if finite and not np.isfinite(a).all():
+        raise NumericError(f"{name} contains non-finite values")
     return a
 
 

@@ -133,9 +133,10 @@ def lloyd(
     """Alternate nearest-centroid assignment and mean updates until the
     relative inertia improvement is at most ``tol`` (>= 0) or ``max_iter``
     is hit. Assignments that repeat give bit-identical means and inertia,
-    so they always stop it. Non-finite ``h`` is a NumericError."""
+    so they always stop it. Non-finite ``h`` or ``init_centroids`` is a
+    NumericError."""
     h = _check_points(h, k)
-    centroids = check_matrix("init_centroids", init_centroids, k, h.shape[1])
+    centroids = check_matrix("init_centroids", init_centroids, k, h.shape[1], finite=True)
     check_int("max_iter", max_iter, 1)
     check_real("tol", tol, positive=False)
 
@@ -161,14 +162,14 @@ def lloyd(
 
 def assigned_centroids(h: np.ndarray, r: ClusterResult) -> tuple[np.ndarray, np.ndarray]:
     """``h`` checked against ``r`` (one row per assignment, as wide as the
-    centroids) and each row's centroid ``r.centroids[r.assignments]``.
-    Assignments must be a 1-D integer array (DimensionError if not 1-D)
-    with values in [0, k) (ConfigurationError)."""
+    centroids, and finite, else NumericError) and each row's centroid
+    ``r.centroids[r.assignments]``. Assignments must be a 1-D integer array
+    (DimensionError if not 1-D) with values in [0, k) (ConfigurationError)."""
     centroids = check_matrix("centroids", r.centroids)
     a = check_array("assignments", r.assignments)
     if a.ndim != 1:
         raise DimensionError(f"assignments must be 1-D, got shape {a.shape}")
-    h = check_matrix("h", h, len(a), centroids.shape[1])
+    h = check_matrix("h", h, len(a), centroids.shape[1], finite=True)
     if a.dtype.kind not in "iu" or a.size and not (a.min() >= 0 and a.max() < len(centroids)):
         raise ConfigurationError(f"assignments must be integers in [0, {len(centroids)})")
     return h, centroids[a]

@@ -10,9 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError, NumericError, check_array, check_int, check_labels, check_matrix,
-)
+from .errors import ConfigurationError, check_array, check_int, check_labels, check_matrix
 
 
 def _count_table(g, c):
@@ -116,9 +114,7 @@ def _assign(cost: np.ndarray) -> np.ndarray:
 def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimal-cost matching of min(r, c) rows to distinct columns. Returns
     (rows ascending, their columns, total cost of the matched pairs)."""
-    cost = check_matrix("cost", cost)
-    if not np.all(np.isfinite(cost)):
-        raise NumericError("cost matrix contains non-finite entries")
+    cost = check_matrix("cost", cost, finite=True)
     r, c = cost.shape
     if min(r, c) == 0:
         rows = cols = np.zeros(0, dtype=np.intp)

@@ -1,15 +1,18 @@
-"""Hostile inputs at the public boundary: each call either succeeds or
-raises a ConfigurationError, and nothing else escapes; each CLI command
-exits with code 0, 1 or 2."""
+"""Hostile inputs at the public boundary: each dataset spec gives a loader
+or a ConfigurationError, each public function returns or raises a
+DekmError, and nothing else escapes; each CLI command exits with code 0, 1
+or 2."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dekm import cli, data
+from dekm import autoencoder as ae, cli, core, data, kmeans as km, metrics
 from dekm.config import ExperimentConfig
-from dekm.errors import ConfigurationError
+from dekm.errors import ConfigurationError, DekmError
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -149,3 +152,151 @@ def test_each_cli_key_at_each_extreme_exits_0_1_or_2(tmp_path, monkeypatch, caps
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (value, code)
         assert code == 0 or err.startswith("error:") and err.count("\n") == 1, (value, err)
+
+
+# Six distinct points in 3-D, two clusters of three, and one model whose
+# embedding is 2 wide: the valid arguments of every call below.
+H = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0],
+              [4.0, 4.0, 4.0], [4.5, 4.0, 4.0], [4.0, 4.5, 4.0]])
+LABELS = np.array([0, 0, 0, 1, 1, 1])
+CLUSTERING = km.lloyd(H, 2, H[[0, 3]])
+MODEL = ae.xavier_init([3, 4, 2], 0)
+TINY_RUN = core.DekmConfig(k=2, max_outer_iters=1, inner_batch_size=4)
+
+
+def _gradient():
+    return ae.AutoencoderModel(MODEL.dims, np.empty_like(MODEL.flat))
+
+
+# For each public function: the call, the valid arguments it is made with
+# (built fresh for each call, since some calls write into them) and the
+# arguments the grid varies. Left out on purpose:
+# - arguments that take a package object: a model, a gradient, an
+#   AdamState, a TransformState or a ClusterResult;
+# - ae.adam_step and ae.AdamState.for_params, whose parameter lists are to
+#   become one array;
+# - ae.train, whose callers (pretrain, run_dekm) check its arguments;
+# - values that only make a run longer: pretrain's epochs, and run_dekm's
+#   config (DekmConfig's own fields are varied below);
+# - path arguments, which test_errors.py passes pipe descriptors and 2**63.
+FUNCTIONS = {
+    "kmeanspp_init": (km.kmeanspp_init, lambda: {"h": H, "k": 2, "seed": 0}, ("h", "k", "seed")),
+    "lloyd": (
+        km.lloyd,
+        lambda: {"h": H, "k": 2, "init_centroids": H[[0, 3]], "max_iter": 300, "tol": 1e-6},
+        ("h", "k", "init_centroids", "max_iter", "tol"),
+    ),
+    "within_class_scatter": (
+        km.within_class_scatter, lambda: {"h": H, "r": CLUSTERING}, ("h",),
+    ),
+    "build_transform": (core.build_transform, lambda: {"s_w": np.eye(3)}, ("s_w",)),
+    "greedy_targets": (
+        core.greedy_targets,
+        lambda: {"h": H, "t": core.build_transform(np.eye(3)), "r": CLUSTERING,
+                 "strategy": "random_dim_Y", "rng": np.random.default_rng(0)},
+        ("h", "strategy", "rng"),
+    ),
+    "greedy_loss": (core.greedy_loss, lambda: {"h": H, "targets": H + 1.0}, ("h", "targets")),
+    "changed_fraction": (
+        core.changed_fraction,
+        lambda: {"prev_assignments": LABELS, "assignments": LABELS[::-1]},
+        ("prev_assignments", "assignments"),
+    ),
+    "run_dekm": (
+        core.run_dekm,
+        lambda: {"model": MODEL.copy(), "x": H, "config": TINY_RUN, "labels": LABELS},
+        ("x", "labels"),
+    ),
+    "DekmConfig": (
+        core.DekmConfig,
+        lambda: {"k": 2},
+        tuple(f.name for f in dataclasses.fields(core.DekmConfig)),
+    ),
+    **{
+        name: (getattr(metrics, name), lambda: {"g": LABELS, "c": LABELS[::-1]}, ("g", "c"))
+        for name in ("acc", "nmi", "matched", "contingency")
+    },
+    "hungarian": (metrics.hungarian, lambda: {"cost": H}, ("cost",)),
+    "align_labels": (
+        metrics.align_labels,
+        lambda: {"reference": LABELS, "labels": LABELS[::-1]},
+        ("reference", "labels"),
+    ),
+    "gaussian_entropy": (
+        metrics.gaussian_entropy, lambda: {"variances": np.array([1.0, 2.0])}, ("variances",),
+    ),
+    "uniform_entropy": (metrics.uniform_entropy, lambda: {"n": 4}, ("n",)),
+    "save_csv": (
+        data.save_csv,
+        lambda: {"path": "out.csv", "x": H, "labels": LABELS, "header": "# h\n"},
+        ("x", "labels", "header"),
+    ),
+    "gen_synthetic": (
+        data.gen_synthetic,
+        lambda: {"k": 2, "per_cluster_n": 3, "latent_dim": 1, "ambient_dim": 2,
+                 "separation": 2.0, "seed": 0},
+        ("k", "per_cluster_n", "latent_dim", "ambient_dim", "separation", "seed"),
+    ),
+    "encode": (ae.encode, lambda: {"m": MODEL, "x": H}, ("x",)),
+    "decode": (ae.decode, lambda: {"m": MODEL, "h": H[:, :2]}, ("h",)),
+    "reconstruction_loss": (ae.reconstruction_loss, lambda: {"m": MODEL, "x": H}, ("x",)),
+    "xavier_init": (ae.xavier_init, lambda: {"dims": [3, 4, 2], "seed": 0}, ("dims", "seed")),
+    "pretrain": (
+        ae.pretrain,
+        lambda: {"m": MODEL.copy(), "x": H, "epochs": 1, "batch_size": 4, "seed": 0,
+                 "lr": 0.001},
+        ("x", "batch_size", "lr", "seed"),
+    ),
+    "backprop_reconstruction": (
+        ae.backprop_reconstruction, lambda: {"m": MODEL, "x": H, "grad": _gradient()}, ("x",),
+    ),
+    "backprop_embedding": (
+        ae.backprop_embedding,
+        lambda: {"m": MODEL, "x": H, "targets": H[:, :2], "grad": _gradient()},
+        ("x", "targets"),
+    ),
+    "save_checkpoint": (
+        ae.save_checkpoint, lambda: {"path": "model.json", "m": MODEL, "meta": None}, ("meta",),
+    ),
+}
+FUNCTION_GRID = [(name, arg) for name, (_, _, args) in FUNCTIONS.items() for arg in args]
+
+
+def _extremes(valid):
+    """The values one argument is set to, by name. The complex, nan and inf
+    arrays take the shape of a valid array, and the empty one its width."""
+    shape = valid.shape if isinstance(valid, np.ndarray) else (2,)
+    return {
+        "None": None,
+        "bool": True,
+        "string": "x",
+        "complex": np.ones(shape) + 1j,
+        "ragged": [[1.0, 2.0], [3.0]],
+        "nan": np.full(shape, np.nan),
+        "inf": np.full(shape, np.inf),
+        "0-D": np.array(1.0),
+        "1-D": np.ones(3),
+        "3-D": np.ones((2, 3, 4)),
+        "empty": valid[:0] if isinstance(valid, np.ndarray) else np.empty(0),
+        "negative": -1,
+        "huge": 2**63,
+        "beyond float": 10**400,
+    }
+
+
+@pytest.mark.parametrize("name, arg", FUNCTION_GRID, ids=[
+    f"{name}-{arg}" for name, arg in FUNCTION_GRID
+])
+def test_each_argument_at_each_extreme_returns_or_raises_a_dekm_error(
+    tmp_path, monkeypatch, name, arg
+):
+    monkeypatch.chdir(tmp_path)  # the relative paths the writers take land here
+    call, valid, _ = FUNCTIONS[name]
+    call(**valid())
+    for label, value in _extremes(valid().get(arg)).items():
+        try:
+            call(**{**valid(), arg: value})
+        except DekmError:
+            pass
+        except Exception as exc:
+            raise AssertionError(f"{name}({arg}={label}) raised {exc!r}") from exc

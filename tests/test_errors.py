@@ -1,10 +1,12 @@
+import contextlib
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from dekm import autoencoder as ae, core, data, kmeans as km, metrics
+from dekm import autoencoder as ae, config, core, data, kmeans as km, metrics
 from dekm.errors import ConfigurationError, DimensionError, NumericError, check_matrix
 
 H = np.arange(15.0).reshape(5, 3) ** 1.5  # 5 distinct points in 3-D
@@ -132,6 +134,27 @@ CASES = {
     "model_dims_none": (ConfigurationError, lambda: ae.AutoencoderModel(None, np.zeros(17))),
     "model_dims_an_int": (ConfigurationError, lambda: ae.AutoencoderModel(5, np.zeros(17))),
     "lr_beyond_float_range": (ConfigurationError, lambda: core.DekmConfig(k=2, lr=10**400)),
+    "config_array_strategy": (
+        ConfigurationError,
+        lambda: core.DekmConfig(k=2, strategy=np.array(["last_dim_Y", "all_dims_H"])),
+    ),
+    "config_array_batch_mode": (
+        ConfigurationError, lambda: core.DekmConfig(k=2, batch_mode=np.ones(2)),
+    ),
+    "targets_array_strategy": (
+        ConfigurationError,
+        lambda: core.greedy_targets(H, _transform(), _clustering(),
+                                    np.array(["last_dim_Y", "all_dims_H"])),
+    ),
+    "targets_int_rng": (
+        ConfigurationError,
+        lambda: core.greedy_targets(H, _transform(), _clustering(), "random_dim_Y", 5),
+    ),
+    "targets_random_state_rng": (
+        ConfigurationError,
+        lambda: core.greedy_targets(H, _transform(), _clustering(), "random_dim_H",
+                                    np.random.RandomState(0)),
+    ),
 }
 
 
@@ -163,3 +186,84 @@ def test_save_csv_rejects_bad_arguments_before_writing(tmp_path, case):
     with pytest.raises(error):
         data.save_csv(path, x, labels)
     assert not path.exists()
+
+
+WRITERS_KEEP_THE_FILE = {
+    "save_csv_bytes_header": lambda path: data.save_csv(path, np.ones((2, 2)), header=b"x"),
+    "save_checkpoint_array_meta": lambda path: ae.save_checkpoint(
+        path, ae.xavier_init([3, 2], 0), meta=np.ones(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRITERS_KEEP_THE_FILE)
+def test_writers_reject_bad_arguments_before_opening_the_file(tmp_path, case):
+    path = tmp_path / "out"
+    path.write_text("keep me")
+    with pytest.raises(ConfigurationError):
+        WRITERS_KEEP_THE_FILE[case](path)
+    assert path.read_text() == "keep me"
+
+
+@contextlib.contextmanager
+def _pipe():
+    """A pipe's (read, write) ends. On exit each end that is still this
+    pipe's is closed; one the code under test closed is left alone, since
+    its number may have been reused."""
+    ends = {fd: os.fstat(fd) for fd in os.pipe()}
+    try:
+        yield tuple(ends)
+    finally:
+        for fd, stat in ends.items():
+            if _is_open(fd, stat):
+                os.close(fd)
+
+
+def _is_open(fd, stat):
+    try:
+        return os.path.samestat(os.fstat(fd), stat)
+    except OSError:
+        return False
+
+
+# each function that takes a path to read, and one to write
+READ_PATHS = {
+    "load_csv": data.load_csv,
+    "load_labels": data.load_labels,
+    "load_idx": lambda path: data.load_idx(path, "labels.idx"),
+    "load_checkpoint": ae.load_checkpoint,
+    "load_config": lambda path: config.load_config(path, {}),
+}
+WRITE_PATHS = {
+    "save_csv": lambda path: data.save_csv(path, np.ones((2, 2))),
+    "write_text": lambda path: data.write_text(path, "x"),
+    "output_dir": data.output_dir,
+    "save_checkpoint": lambda path: ae.save_checkpoint(path, ae.xavier_init([3, 2], 0)),
+}
+
+
+@pytest.mark.parametrize("case", READ_PATHS)
+def test_a_file_descriptor_is_not_a_path_to_read(case):
+    with _pipe() as (r, w):
+        os.write(w, b"1,2\n")  # so a read of the pipe cannot block
+        os.close(w)
+        stat = os.fstat(r)
+        with pytest.raises(ConfigurationError, match="must be a path"):
+            READ_PATHS[case](r)
+        assert _is_open(r, stat) and os.read(r, 16) == b"1,2\n"
+    with pytest.raises(ConfigurationError, match="must be a path"):
+        READ_PATHS[case](2**63)
+
+
+@pytest.mark.parametrize("case", WRITE_PATHS)
+def test_a_file_descriptor_is_not_a_path_to_write(case):
+    with _pipe() as (r, w):
+        stat = os.fstat(w)
+        with pytest.raises(ConfigurationError, match="must be a path"):
+            WRITE_PATHS[case](w)
+        assert _is_open(w, stat)
+        os.close(w)
+        assert os.read(r, 16) == b""
+    for path in (2**63, None):
+        with pytest.raises(ConfigurationError, match="must be a path"):
+            WRITE_PATHS[case](path)
