@@ -267,9 +267,6 @@ def backprop_embedding(
 @dataclass
 class AdamState:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -277,18 +274,16 @@ class AdamState:
     work: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def for_params(cls, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, params, lr=0.001):
         return cls(
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            t=0,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
         )
 
 
+# Adam's moment decays and denominator offset (Kingma & Ba 2015, section 2)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # Elements per Adam chunk: slices of p, g, m, v plus the two work rows
 # (6 x 256 KiB in float64) stay resident in a 2 MiB L2 cache.
 ADAM_CHUNK = 1 << 15
@@ -300,7 +295,7 @@ def adam_step(params, grads, state: AdamState):
 
     Walks each parameter's flat view in ADAM_CHUNK slices with in-place
     ufuncs, in the operation order of the textbook expression
-    ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``, so the result is
+    ``p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)``, so the result is
     bit-identical to it. Parameters and moments must be C-contiguous: a
     flat view of anything else would be a copy, and the update would be
     lost."""
@@ -317,28 +312,27 @@ def adam_step(params, grads, state: AdamState):
         state.work = np.empty((2, ADAM_CHUNK))  # pages are touched only as used
     work_a, work_b = state.work
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    c1, c2 = 1.0 - b1, 1.0 - b2
-    b1t = 1.0 - b1 ** state.t
-    b2t = 1.0 - b2 ** state.t
+    c1, c2 = 1.0 - BETA1, 1.0 - BETA2
+    b1t = 1.0 - BETA1 ** state.t
+    b2t = 1.0 - BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
         for lo in range(0, p.size, ADAM_CHUNK):
             hi = lo + ADAM_CHUNK
             pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
             a, b = work_a[: pc.size], work_b[: pc.size]
-            mc *= b1
+            mc *= BETA1
             np.multiply(c1, gc, out=a)
             mc += a
-            vc *= b2
+            vc *= BETA2
             np.multiply(gc, gc, out=a)
             np.multiply(c2, a, out=a)
             vc += a
             np.divide(mc, b1t, out=a)
-            np.multiply(lr, a, out=a)
+            np.multiply(state.lr, a, out=a)
             np.divide(vc, b2t, out=b)
             np.sqrt(b, out=b)
-            b += eps
+            b += EPS
             a /= b
             pc -= a
     return params, state
@@ -393,8 +387,11 @@ def pretrain(
 
 def save_checkpoint(path, m: AutoencoderModel, meta: dict | None = None) -> None:
     """Write the model as versioned JSON; parameters round-trip bit-exactly
-    via base64-encoded little-endian float64 buffers. A ``meta`` that JSON
-    cannot encode is a ConfigurationError, and nothing is written."""
+    via base64-encoded little-endian float64 buffers. A ``meta`` that is not
+    a dict, or that JSON cannot encode, is a ConfigurationError, and nothing
+    is written."""
+    if not isinstance(meta, dict | None):
+        raise ConfigurationError(f"checkpoint meta must be a dict, got {type(meta).__name__}")
 
     def pack(a: np.ndarray):
         return {
@@ -421,8 +418,8 @@ def save_checkpoint(path, m: AutoencoderModel, meta: dict | None = None) -> None
 def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
     """Read a checkpoint written by ``save_checkpoint``. A file that cannot
     be opened is a ``ConfigurationError``; one that is not a well-formed
-    checkpoint, or whose arrays do not fit its ``dims`` or hold nan/inf, is a
-    ``FormatError``."""
+    checkpoint, whose ``meta`` is not a JSON object, or whose arrays do not
+    fit its ``dims`` or hold nan/inf, is a ``FormatError``."""
     with open_input(path, what="checkpoint") as f:
         try:
             doc = json.load(f)
@@ -451,4 +448,7 @@ def load_checkpoint(path) -> tuple[AutoencoderModel, dict]:
     flat = np.concatenate([a.ravel() for group in params for a in group], dtype=np.float64)
     if not np.isfinite(flat).all():
         raise FormatError(f"{str(path)!r}: non-finite parameter values")
-    return AutoencoderModel(dims, flat), doc.get("meta", {})
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise FormatError(f"{str(path)!r}: checkpoint meta is not a JSON object")
+    return AutoencoderModel(dims, flat), meta

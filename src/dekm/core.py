@@ -44,8 +44,6 @@ class DekmConfig:
     stop_fraction: float = 0.001
     seed: int = 0
     lr: float = 0.001
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-6
 
     def __post_init__(self):
         for name, minimum in (
@@ -54,11 +52,9 @@ class DekmConfig:
             ("inner_batch_size", 1),
             ("inner_steps", 0),
             ("seed", 0),
-            ("kmeans_max_iter", 1),
         ):
             check_int(name, getattr(self, name), minimum)
         check_real("lr", self.lr, positive=True)
-        check_real("kmeans_tol", self.kmeans_tol, positive=False)
         check_real("stop_fraction", self.stop_fraction, positive=True)
         if self.stop_fraction >= 1.0:
             raise ConfigurationError(
@@ -249,7 +245,7 @@ def run_dekm(
         h = ae.encode(model, x)
         clock.lap("encode")
         init = km.kmeanspp_init(h, config.k, rng)
-        result = km.lloyd(h, config.k, init, config.kmeans_max_iter, config.kmeans_tol)
+        result = km.lloyd(h, config.k, init)
         clock.lap("kmeans")
         l4 = None
         if it < config.max_outer_iters:

@@ -183,10 +183,23 @@ def test_adam_zero_gradient_keeps_params():
 def test_adam_first_step_is_signed_lr():
     p = [np.array([1.0, -2.0, 0.5])]
     g = [np.array([0.3, -4.0, 1e-3])]
-    state = ae.AdamState.for_params(p, lr=0.01, eps=1e-12)
+    state = ae.AdamState.for_params(p, lr=0.01)
     ae.adam_step(p, g, state)
-    # bias-corrected first step: p -= lr * g / |g| to within eps
-    assert np.allclose(p[0], [1.0 - 0.01, -2.0 + 0.01, 0.5 - 0.01], atol=1e-8)
+    # bias-corrected first step: p -= lr * g / (|g| + eps)
+    step = 0.01 * g[0] / (np.abs(g[0]) + ae.EPS)
+    assert np.allclose(p[0], np.array([1.0, -2.0, 0.5]) - step, atol=1e-8)
+
+
+def test_adam_constants_are_the_textbook_values():
+    assert (ae.BETA1, ae.BETA2, ae.EPS) == (0.9, 0.999, 1e-8)
+
+
+@pytest.mark.parametrize("name", ["beta1", "beta2", "eps"])
+def test_adam_takes_no_setting_but_lr(name):
+    with pytest.raises(TypeError, match=name):
+        ae.AdamState.for_params([np.zeros(2)], **{name: 0.5})
+    with pytest.raises(TypeError, match=name):
+        ae.AdamState(**{name: 0.5})
 
 
 def test_adam_matches_scalar_reference_trace():
@@ -200,9 +213,9 @@ def test_adam_matches_scalar_reference_trace():
         g = 2.0 * w[0]
         gr = 2.0 * ref
         ae.adam_step([w], [np.array([g])], state)
-        m = 0.9 * m + 0.1 * gr
-        v = 0.999 * v + 0.001 * gr * gr
-        ref -= 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        m = ae.BETA1 * m + (1 - ae.BETA1) * gr
+        v = ae.BETA2 * v + (1 - ae.BETA2) * gr * gr
+        ref -= 0.1 * (m / (1 - ae.BETA1**t)) / (np.sqrt(v / (1 - ae.BETA2**t)) + ae.EPS)
         assert w[0] == pytest.approx(ref, rel=1e-12)
 
 
@@ -528,14 +541,14 @@ def test_pretrain_and_representation_step_pass_adam_one_array(monkeypatch, rng):
 
 def _textbook_adam_step(params, grads, state):
     state.t += 1
-    b1t = 1.0 - state.beta1 ** state.t
-    b2t = 1.0 - state.beta2 ** state.t
+    b1t = 1.0 - ae.BETA1 ** state.t
+    b2t = 1.0 - ae.BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / b1t) / (np.sqrt(v / b2t) + state.eps)
+        m *= ae.BETA1
+        m += (1.0 - ae.BETA1) * g
+        v *= ae.BETA2
+        v += (1.0 - ae.BETA2) * (g * g)
+        p -= state.lr * (m / b1t) / (np.sqrt(v / b2t) + ae.EPS)
     return params, state
 
 

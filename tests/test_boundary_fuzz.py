@@ -109,7 +109,7 @@ TINY = {
     "checkpoint": None,
     "dekm": {"k": 2, "max_outer_iters": 1, "inner_batch_size": 4, "inner_steps": 1,
              "strategy": "last_dim_Y", "batch_mode": "mini_batch", "stop_fraction": 0.001,
-             "lr": 0.001, "kmeans_max_iter": 300, "kmeans_tol": 1e-6},
+             "lr": 0.001},
     "repeats": 1,
     "out": "out",
     "seed": 0,

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import tempfile
 import time
@@ -50,20 +51,41 @@ def test_config_validation():
         ("k", True),
         ("inner_steps", 1.5),
         ("inner_batch_size", 0),
-        ("kmeans_max_iter", 0),
         ("lr", -1),
         ("lr", 0.0),
         ("lr", "x"),
         ("lr", float("nan")),
-        ("kmeans_tol", -1e-6),
-        ("kmeans_tol", float("nan")),
-        ("kmeans_tol", float("inf")),
         ("stop_fraction", "0.1"),
     ],
 )
 def test_dekm_config_rejects_bad_values(field, value):
     with pytest.raises(ConfigurationError, match=field):
         core.DekmConfig(**{"k": 2, field: value})
+
+
+@pytest.mark.parametrize("field", ["kmeans_max_iter", "kmeans_tol"])
+def test_dekm_config_has_no_lloyd_settings(field):
+    # Lloyd's cap and tolerance are kmeans.lloyd's constants, not settings
+    with pytest.raises(TypeError, match=field):
+        core.DekmConfig(**{"k": 2, field: 1})
+
+
+def test_run_dekm_runs_lloyd_to_its_default_cap_and_tolerance(monkeypatch):
+    calls = []
+    lloyd = km.lloyd
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return lloyd(*args, **kwargs)
+
+    monkeypatch.setattr(km, "lloyd", spy)
+    ds = data.gen_synthetic(k=2, per_cluster_n=10, latent_dim=2, ambient_dim=4,
+                            separation=10.0, seed=0)
+    model = ae.xavier_init([4, 8, 2], seed=0)
+    core.run_dekm(model, ds.x, core.DekmConfig(k=2, max_outer_iters=2), ds.labels)
+    assert calls and all(c == (3, {}) for c in calls)
+    defaults = {name: p.default for name, p in inspect.signature(lloyd).parameters.items()}
+    assert (defaults["max_iter"], defaults["tol"]) == (300, 1e-6)
 
 
 def test_dekm_config_overrides_are_validated():
@@ -88,8 +110,6 @@ _dekm_fields = st.fixed_dictionaries(
         "batch_mode": st.sampled_from(core.BATCH_MODES),
         "stop_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         "lr": _positive,
-        "kmeans_max_iter": st.integers(1, 1000),
-        "kmeans_tol": st.floats(min_value=0.0, allow_infinity=False),
     },
 )
 # one mapping of each valid dataset type, with only the keys that type reads

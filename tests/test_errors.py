@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import json
 import math
 import os
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from dekm import autoencoder as ae, config, core, data, kmeans as km, metrics
-from dekm.errors import ConfigurationError, DimensionError, NumericError, check_matrix
+from dekm.errors import (
+    ConfigurationError, DimensionError, FormatError, NumericError, check_matrix,
+)
 
 H = np.arange(15.0).reshape(5, 3) ** 1.5  # 5 distinct points in 3-D
 RAGGED = [[0], [0, 1]]  # two labels, one of them a pair
@@ -193,6 +196,13 @@ WRITERS_KEEP_THE_FILE = {
     "save_checkpoint_array_meta": lambda path: ae.save_checkpoint(
         path, ae.xavier_init([3, 2], 0), meta=np.ones(2)
     ),
+    # JSON encodes these, but a checkpoint's meta is a mapping
+    **{
+        f"save_checkpoint_{name}_meta": lambda path, meta=meta: ae.save_checkpoint(
+            path, ae.xavier_init([3, 2], 0), meta=meta
+        )
+        for name, meta in (("bool", True), ("int", -1), ("str", "x"))
+    },
 }
 
 
@@ -203,6 +213,16 @@ def test_writers_reject_bad_arguments_before_opening_the_file(tmp_path, case):
     with pytest.raises(ConfigurationError):
         WRITERS_KEEP_THE_FILE[case](path)
     assert path.read_text() == "keep me"
+
+
+def test_load_checkpoint_rejects_a_meta_that_is_not_an_object(tmp_path):
+    path = tmp_path / "model.json"
+    ae.save_checkpoint(path, ae.xavier_init([3, 2], 0))
+    doc = json.loads(path.read_text())
+    doc["meta"] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="meta"):
+        ae.load_checkpoint(path)
 
 
 @contextlib.contextmanager
