@@ -193,7 +193,6 @@ def decode(m: AutoencoderModel, h: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_loss(m: AutoencoderModel, x: np.ndarray) -> float:
-    x = check_matrix("input", x, cols=m.input_dim)
     diff = decode(m, encode(m, x)) - x
     return float(np.sum(diff * diff))
 

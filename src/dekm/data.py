@@ -149,9 +149,12 @@ def load_csv(path, has_labels_column: bool = False) -> Dataset:
             )
         try:
             rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            bad = next(i for i, c in enumerate(cells) if not _is_number(c))
-            raise FormatError(f"{str(path)!r}:{lineno}: column {bad + 1}: {exc}") from exc
+        except ValueError:  # parse again, cell by cell, to name the first bad one
+            for col, c in enumerate(cells, start=1):
+                try:
+                    float(c)
+                except ValueError as exc:
+                    raise FormatError(f"{str(path)!r}:{lineno}: column {col}: {exc}") from exc
         linenos.append(lineno)
         label_cells.append(cells[-1])
     if not rows:
@@ -200,14 +203,6 @@ def load_labels(path) -> np.ndarray:
     if not labels:
         raise ConfigurationError(f"{str(path)!r}: no labels")
     return np.array(labels, dtype=int)
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 # Cells that save_csv formats at once: its Python floats and text stay a few

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DimensionError, NumericError,
-    check_array, check_int, check_matrix, check_real,
+    ConfigurationError, DimensionError, check_array, check_int, check_matrix, check_real,
 )
 
 
@@ -46,14 +45,12 @@ def _sq_dists(h: np.ndarray, centroids: np.ndarray, h_norms: np.ndarray) -> np.n
 def _check_points(h, k) -> np.ndarray:
     """``h`` as a non-empty finite float64 matrix of at least ``k`` >= 1
     rows."""
-    h = check_matrix("h", h)
+    h = check_matrix("embedding", h, finite=True)
     if h.size == 0:
         raise ConfigurationError("empty input")
     check_int("k", k, 1)
     if k > h.shape[0]:
         raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={h.shape[0]}")
-    if not np.isfinite(h).all():
-        raise NumericError("embedding contains non-finite values")
     return h
 
 
@@ -88,7 +85,7 @@ def _repair_empty(h, assignments, centroids, counts):
     empty on entry. ``counts`` is ``bincount(assignments, minlength=k)``; it
     and ``assignments`` are updated in place, ``centroids`` is only read."""
     for j in np.flatnonzero(counts == 0):
-        dist = np.sum((h - centroids[assignments]) ** 2, axis=1)
+        dist = _row_norms(h - centroids[assignments])
         # never steal a singleton, that would just move the hole; while one
         # cluster is empty, n >= k leaves another with two or more members.
         # The mask also hides each moved donor, now cluster j's one member.

@@ -4,6 +4,7 @@ DekmError, and nothing else escapes; each CLI command exits with code 0, 1
 or 2."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -173,12 +174,11 @@ def _gradient():
 # arguments the grid varies. Left out on purpose:
 # - arguments that take a package object: a model, a gradient, an
 #   AdamState, a TransformState or a ClusterResult;
-# - ae.adam_step and ae.AdamState.for_params, whose parameter lists are to
-#   become one array;
-# - ae.train, whose callers (pretrain, run_dekm) check its arguments;
+# - ae.AdamState.for_params, whose parameter list is to become one array;
 # - values that only make a run longer: pretrain's epochs, and run_dekm's
 #   config (DekmConfig's own fields are varied below);
-# - path arguments, which test_errors.py passes pipe descriptors and 2**63.
+# - path arguments, which test_errors.py passes pipe descriptors and 2**63;
+# - the public functions in EXEMPT.
 FUNCTIONS = {
     "kmeanspp_init": (km.kmeanspp_init, lambda: {"h": H, "k": 2, "seed": 0}, ("h", "k", "seed")),
     "lloyd": (
@@ -186,6 +186,7 @@ FUNCTIONS = {
         lambda: {"h": H, "k": 2, "init_centroids": H[[0, 3]], "max_iter": 300, "tol": 1e-6},
         ("h", "k", "init_centroids", "max_iter", "tol"),
     ),
+    "assigned_centroids": (km.assigned_centroids, lambda: {"h": H, "r": CLUSTERING}, ("h",)),
     "within_class_scatter": (
         km.within_class_scatter, lambda: {"h": H, "r": CLUSTERING}, ("h",),
     ),
@@ -237,6 +238,17 @@ FUNCTIONS = {
                  "separation": 2.0, "seed": 0},
         ("k", "per_cluster_n", "latent_dim", "ambient_dim", "separation", "seed"),
     ),
+    "check_synthetic": (
+        data.check_synthetic,
+        lambda: {"k": 2, "per_cluster_n": 3, "latent_dim": 1, "ambient_dim": 2,
+                 "separation": 2.0, "seed": 0},
+        ("k", "per_cluster_n", "latent_dim", "ambient_dim", "separation", "seed"),
+    ),
+    "dataset_loader": (
+        data.dataset_loader,
+        lambda: {"spec": {"type": "synthetic", "per_cluster_n": 3}, "k": 2, "seed": 0},
+        ("spec", "k", "seed"),
+    ),
     "encode": (ae.encode, lambda: {"m": MODEL, "x": H}, ("x",)),
     "decode": (ae.decode, lambda: {"m": MODEL, "h": H[:, :2]}, ("h",)),
     "reconstruction_loss": (ae.reconstruction_loss, lambda: {"m": MODEL, "x": H}, ("x",)),
@@ -259,7 +271,33 @@ FUNCTIONS = {
         ae.save_checkpoint, lambda: {"path": "model.json", "m": MODEL, "meta": None}, ("meta",),
     ),
 }
+# The public functions FUNCTIONS leaves out, by reason.
+EXEMPT = {
+    "its parameter list is to become one array": (ae.adam_step,),
+    "it is backprop_embedding, a row here, then adam_step on an AdamState": (
+        core.representation_step,
+    ),
+    "its callers, pretrain and run_dekm, check its arguments": (ae.train,),
+    "it reads a path, which test_errors.py passes pipe descriptors and 2**63": (
+        ae.load_checkpoint, data.load_idx, data.load_csv, data.load_labels,
+    ),
+    "a path helper, tested through the loaders and writers in test_errors.py": (
+        data.open_input, data.open_output, data.write_text, data.output_dir,
+    ),
+}
 FUNCTION_GRID = [(name, arg) for name, (_, _, args) in FUNCTIONS.items() for arg in args]
+
+
+def test_every_public_function_is_in_the_grid_or_exempt_with_a_reason():
+    gridded = {call for call, _, _ in FUNCTIONS.values()}
+    exempt = [f for funcs in EXEMPT.values() for f in funcs]
+    assert len(set(exempt)) == len(exempt) and not gridded & set(exempt)
+    public = {
+        f for module in (ae, core, km, metrics, data) for name, f in vars(module).items()
+        if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_")
+    }
+    assert sorted(f.__qualname__ for f in public - gridded - set(exempt)) == []
+    assert sorted(f.__qualname__ for f in set(exempt) - public) == []
 
 
 def _extremes(valid):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import json
@@ -229,6 +230,37 @@ def test_all_dims_H_targets_are_centroids(rng):
     h, res, ts = make_state(rng)
     targets = core.greedy_targets(h, ts, res, "all_dims_H")
     assert np.array_equal(targets, res.centroids[res.assignments])
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_greedy_loss_is_the_scatter_the_strategy_targets(seed):
+    # The paper's eigenvalue claim: a Y target moves h along eigenvector u
+    # only, so l4 = sum ((c - h) . u)^2 = u^T S_w u, the eigenvalue of u.
+    # random_dim_H gives S_w[dim, dim]; all_dims_H gives trace S_w, the
+    # inertia, summed in the same order. Worst relative gaps measured over
+    # these seeds: 2.0e-15 (last_dim_Y), 2.0e-15 (random_dim_Y) and 4.0e-16
+    # (random_dim_H) on OpenBLAS's SkylakeX kernel, 4.7e-15 and 5.3e-15 for
+    # random_dim_Y under Haswell and Prescott. 1e-13 stays under n * eps.
+    ds = data.gen_synthetic(
+        k=4, per_cluster_n=200, latent_dim=3, ambient_dim=12, separation=4.0, seed=seed
+    )
+    model, _ = ae.pretrain(ae.xavier_init([12, 16, 4], seed), ds.x, epochs=3,
+                           batch_size=64, seed=seed)
+    h = ae.encode(model, ds.x)
+    res = cluster(h, 4, seed)
+    s_w = km.within_class_scatter(h, res)
+    ts = core.build_transform(s_w)
+    rng = np.random.default_rng(seed)
+    dim = int(copy.deepcopy(rng).integers(h.shape[1]))  # the draw greedy_targets makes
+    expected = {
+        "last_dim_Y": ts.eigenvalues[-1],
+        "random_dim_Y": ts.eigenvalues[dim],
+        "random_dim_H": s_w[dim, dim],
+    }
+    for strategy, value in expected.items():
+        targets = core.greedy_targets(h, ts, res, strategy, copy.deepcopy(rng))
+        assert core.greedy_loss(h, targets) == pytest.approx(value, rel=1e-13, abs=0.0)
+    assert core.greedy_loss(h, core.greedy_targets(h, ts, res, "all_dims_H")) == res.inertia
 
 
 def test_random_dim_draw_is_seeded(rng):
