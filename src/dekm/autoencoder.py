@@ -20,7 +20,7 @@ import numpy as np
 from .data import open_input, write_text
 from .errors import (
     ConfigurationError, DimensionError, DivergenceError, FormatError,
-    check_int, check_matrix, check_real, check_size,
+    check_int, check_matrix, check_size,
 )
 
 CHECKPOINT_VERSION = 1
@@ -265,7 +265,6 @@ def backprop_embedding(
 
 @dataclass
 class AdamState:
-    lr: float = 0.001
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -273,16 +272,16 @@ class AdamState:
     work: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def for_params(cls, params, lr=0.001):
+    def for_params(cls, params):
         return cls(
-            lr=lr,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
         )
 
 
-# Adam's moment decays and denominator offset (Kingma & Ba 2015, section 2)
-BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# Adam's step size, moment decays and denominator offset (Kingma & Ba 2015,
+# section 2)
+LR, BETA1, BETA2, EPS = 0.001, 0.9, 0.999, 1e-8
 # Elements per Adam chunk: slices of p, g, m, v plus the two work rows
 # (6 x 256 KiB in float64) stay resident in a 2 MiB L2 cache.
 ADAM_CHUNK = 1 << 15
@@ -294,7 +293,7 @@ def adam_step(params, grads, state: AdamState):
 
     Walks each parameter's flat view in ADAM_CHUNK slices with in-place
     ufuncs, in the operation order of the textbook expression
-    ``p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)``, so the result is
+    ``p -= LR * (m / b1t) / (sqrt(v / b2t) + EPS)``, so the result is
     bit-identical to it. Parameters and moments must be C-contiguous: a
     flat view of anything else would be a copy, and the update would be
     lost."""
@@ -328,7 +327,7 @@ def adam_step(params, grads, state: AdamState):
             np.multiply(c2, a, out=a)
             vc += a
             np.divide(mc, b1t, out=a)
-            np.multiply(state.lr, a, out=a)
+            np.multiply(LR, a, out=a)
             np.divide(vc, b2t, out=b)
             np.sqrt(b, out=b)
             b += EPS
@@ -360,7 +359,6 @@ def pretrain(
     epochs: int = 200,
     batch_size: int = 256,
     seed: int = 0,
-    lr: float = 0.001,
 ):
     """Mini-batch Adam on the reconstruction loss, through ``train``.
 
@@ -371,10 +369,9 @@ def pretrain(
     check_int("epochs", epochs, 0)
     check_int("batch_size", batch_size, 1)
     check_int("seed", seed, 0)
-    check_real("lr", lr, positive=True)
     x = check_matrix("input", x, cols=m.input_dim, finite=True)
     grad = AutoencoderModel(m.dims, np.empty_like(m.flat))
-    adam = AdamState.for_params([m.flat], lr=lr)
+    adam = AdamState.for_params([m.flat])
 
     def step(batch):
         loss = backprop_reconstruction(m, batch, grad)

@@ -36,7 +36,6 @@ def _pretrain(cfg: ExperimentConfig, ds: data.Dataset, seed: int):
         epochs=cfg.pretrain_epochs,
         batch_size=cfg.pretrain_batch_size,
         seed=seed,
-        lr=cfg.pretrain_lr,
     )
 
 
@@ -97,6 +96,7 @@ def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start, tags=None, **ov
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
+    cfg.dekm_config(cfg.seed)  # a missing dekm.k fails before any work
     ds = cfg.dataset_loader()()
     start = _start_model(cfg, ds)
     out = data.output_dir(cfg.out, "results.json", "history.jsonl", "embedding.csv")
@@ -154,6 +154,7 @@ ABLATION_VARIANTS = {
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> int:
+    cfg.dekm_config(cfg.seed)  # a missing dekm.k fails before any work
     ds = cfg.dataset_loader()()
     if ds.labels is None:
         raise ConfigurationError("ablation needs a labeled dataset to compare ACC curves")

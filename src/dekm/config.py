@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 
 from . import data
 from .core import BATCH_MODES, STRATEGIES, DekmConfig
-from .errors import ConfigurationError, check_int, check_real
+from .errors import ConfigurationError, check_int
 
 
 # CLI flag -> (the config key it sets, its argparse keywords); a "dekm."
@@ -33,7 +33,6 @@ class ExperimentConfig:
     embedding_dim: int | None = None  # defaults to k
     pretrain_epochs: int = 200
     pretrain_batch_size: int = 256
-    pretrain_lr: float = 0.001
     checkpoint: str | None = None
     dekm: dict = field(default_factory=dict)  # DekmConfig fields except seed
     repeats: int = 3
@@ -53,7 +52,6 @@ class ExperimentConfig:
             check_int("embedding_dim", self.embedding_dim, 1)
         check_int("pretrain_epochs", self.pretrain_epochs, 0)
         check_int("pretrain_batch_size", self.pretrain_batch_size, 1)
-        check_real("pretrain_lr", self.pretrain_lr, positive=True)
         check_int("repeats", self.repeats, 1)
         check_int("seed", self.seed, 0)
         if not isinstance(self.out, str):

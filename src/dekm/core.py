@@ -43,7 +43,6 @@ class DekmConfig:
     batch_mode: str = "mini_batch"
     stop_fraction: float = 0.001
     seed: int = 0
-    lr: float = 0.001
 
     def __post_init__(self):
         for name, minimum in (
@@ -54,7 +53,6 @@ class DekmConfig:
             ("seed", 0),
         ):
             check_int(name, getattr(self, name), minimum)
-        check_real("lr", self.lr, positive=True)
         check_real("stop_fraction", self.stop_fraction, positive=True)
         if self.stop_fraction >= 1.0:
             raise ConfigurationError(
@@ -234,7 +232,7 @@ def run_dekm(
         raise ConfigurationError(f"{x.shape[0]} samples for k={config.k}")
     labels = None if labels is None else check_labels(labels, x.shape[0])
     rng = np.random.default_rng(config.seed)
-    adam = ae.AdamState.for_params([model.encoder_flat], lr=config.lr)
+    adam = ae.AdamState.for_params([model.encoder_flat])
     grad = ae.AutoencoderModel(model.dims, np.empty_like(model.flat))
     history = RunHistory()
     prev_assign = None

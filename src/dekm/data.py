@@ -65,6 +65,10 @@ def open_output(path):
 
 
 def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; a ``text`` that is not a string is a
+    ``ConfigurationError``, raised before the file is opened."""
+    if not isinstance(text, str):
+        raise ConfigurationError(f"text must be a string, got {type(text).__name__}")
     with open_output(path) as f:
         f.write(text)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dekm import cli, core
+from dekm import autoencoder as ae, cli, core, data
 from dekm.config import ExperimentConfig
 
 
@@ -82,6 +82,33 @@ def test_run_outputs_and_repeats(small_config):
     assert emb_lines[0].startswith("# config:")
     assert emb_lines[1].split(",")[-1] == "cluster"
     assert len(emb_lines) == 2 + 240
+
+
+def test_run_on_unlabelled_data_writes_no_acc(small_config):
+    cfg_path, tmp = small_config
+    cfg = json.loads(cfg_path.read_text())
+    ds = data.gen_synthetic(**{k: v for k, v in cfg["dataset"].items() if k != "type"})
+    data.save_csv(tmp / "x.csv", ds.x)
+    cfg["dataset"] = {"type": "csv", "path": str(tmp / "x.csv")}
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    aggregate = read_results(tmp / "out")["aggregate"]
+    assert aggregate["acc"] == aggregate["nmi"] == {"mean": None, "std": None}
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_a_missing_k_exits_2_before_any_work(small_config, monkeypatch, capsys, command):
+    # embedding_dim sets the model width, so only the loop needs dekm.k
+    cfg_path, tmp = small_config
+    cfg = {**json.loads(cfg_path.read_text()), "embedding_dim": 4, "dekm": {}}
+    cfg_path.write_text(json.dumps(cfg))
+    loads, pretrained = [], []
+    monkeypatch.setattr(data, "gen_synthetic", lambda **kw: loads.append(kw))
+    monkeypatch.setattr(cli.ae, "pretrain", lambda *a, **kw: pretrained.append(a))
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: dekm.k (cluster count) is required\n"
+    assert not loads and not pretrained
+    assert not (tmp / "out").exists()
 
 
 def test_run_writes_the_final_embedding_without_encoding_again(small_config, monkeypatch):
@@ -181,8 +208,6 @@ def test_eval_length_mismatch(tmp_path):
 def test_gen_synth_writes_dataset(small_config):
     cfg_path, tmp = small_config
     assert cli.main(["gen-synth", "--config", str(cfg_path), "--out", str(tmp / "gs")]) == 0
-    from dekm import data
-
     ds = data.load_csv(tmp / "gs" / "data.csv", has_labels_column=True)
     assert ds.x.shape == (240, 8)
     meta = json.loads((tmp / "gs" / "metadata.json").read_text())
@@ -220,10 +245,14 @@ def test_gen_synth_rejects_bad_dataset_values(small_config, capsys, key, value, 
     assert not (tmp / "out").exists()
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    # Adam's step size is the constant ae.LR, so pretrain_lr is an unknown key
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"bogus": 1, "dekm": {"k": 2}}))
-    assert cli.main(["pretrain", "--config", str(cfg)]) == 2
+    for key in ("bogus", "pretrain_lr"):
+        cfg.write_text(json.dumps({key: 1, "dekm": {"k": 2}}))
+        assert cli.main(["pretrain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
 
 
 @pytest.mark.parametrize(
@@ -239,6 +268,9 @@ def test_unknown_config_key_rejected(tmp_path):
         pytest.param("pretrain", "kmeans_tol", id="pretrain-kmeans_tol"),
         pytest.param("run", "kmeans_max_iter", id="run-kmeans_max_iter"),
         pytest.param("run", "kmeans_tol", id="run-kmeans_tol"),
+        # Adam's step size is a constant too
+        pytest.param("pretrain", "lr", id="pretrain-lr"),
+        pytest.param("run", "lr", id="run-lr"),
     ],
 )
 def test_unknown_dekm_key_is_a_config_error(small_config, capsys, command, key):
@@ -415,8 +447,6 @@ def test_an_empty_checkpoint_path_is_read_like_any_other(
         ("seed", -1),
         ("hidden_dims", "ab"),
         ("hidden_dims", [12, 0]),
-        ("pretrain_lr", "nan"),
-        ("pretrain_lr", -1.0),
         ("pretrain_epochs", -3),
         ("pretrain_batch_size", 0),
         ("embedding_dim", 0),
@@ -428,7 +458,7 @@ def test_an_empty_checkpoint_path_is_read_like_any_other(
         ("out", "o\x00ut"),
         ("dekm.max_outer_iters", -1),
         ("dekm.k", "2"),
-        ("dekm.lr", "x"),
+        ("dekm.lr", "x"),  # not a key: exits 2 as unknown
     ],
 )
 def test_bad_config_values_fail_at_the_boundary(small_config, capsys, key, value):
@@ -480,7 +510,12 @@ BOUNDARY_CASES = [
     ("nul_in_csv_path", 2, "nul\\x00.csv"),
     ("nul_in_idx_images", 2, "nul\\x00.idx"),
     ("nul_in_idx_labels", 2, "nul\\x00.idx"),
+    ("config_root_a_list", 2, "list"),
+    ("ablate_unlabelled_csv", 2, "labeled"),
+    ("gen_synth_csv_spec", 2, "synthetic"),
 ]
+# the cases that run another command than run
+COMMAND = {"ablate_unlabelled_csv": "ablate", "gen_synth_csv_spec": "gen-synth"}
 
 
 @pytest.mark.parametrize("case, code, named", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
@@ -505,15 +540,20 @@ def test_bad_dataset_specs_and_unreadable_inputs_fail_at_the_boundary(
         "nul_in_csv_path": {"type": "csv", "path": str(tmp / "nul\x00.csv")},
         "nul_in_idx_images": {"type": "idx", "images": str(tmp / "nul\x00.idx"), "labels": str(good)},
         "nul_in_idx_labels": {"type": "idx", "images": str(good), "labels": str(tmp / "nul\x00.idx")},
+        "ablate_unlabelled_csv": {"type": "csv", "path": str(good)},
+        "gen_synth_csv_spec": {"type": "csv", "path": str(good)},
     }
     if case in specs:
         cfg = json.loads(cfg_path.read_text())
         cfg["dataset"] = specs[case]
         cfg_path.write_text(json.dumps(cfg))
-        argv = ["run", "--config", str(cfg_path)]
+        argv = [COMMAND.get(case, "run"), "--config", str(cfg_path)]
     elif case == "non_utf8_config":
         (tmp / "bad.json").write_bytes(b'{"dekm": {"k": 2}, "out": "\xff"}')
         argv = ["run", "--config", str(tmp / "bad.json")]
+    elif case == "config_root_a_list":
+        (tmp / "list.json").write_text("[]")
+        argv = ["run", "--config", str(tmp / "list.json")]
     else:
         labels = tmp / ("nope.txt" if case == "missing_eval_labels" else "bad.csv")
         argv = ["eval", str(labels), str(good), "--out", str(tmp / "out")]
@@ -629,18 +669,28 @@ def test_an_output_file_that_cannot_be_opened_exits_2_without_a_traceback(
     assert [p.name for p in out.iterdir()] == [blocked]
 
 
+# The ids name the settings that once forced these divergences. Values of
+# 1e200 are finite and their squares are not: pretraining on data scaled by
+# 1e200 overflows its loss, and a checkpoint whose weights are scaled by
+# 1e200 encodes every point past the float range.
 @pytest.mark.parametrize(
-    "keys, message",
-    [
-        ({"pretrain_lr": 1e300}, "non-finite training loss"),
-        ({"dekm": {"k": 4, "max_outer_iters": 3, "lr": 1e300}}, "embedding contains non-finite values"),
-    ],
+    "scaled, message",
+    [("data", "non-finite training loss"), ("checkpoint", "embedding contains non-finite values")],
     ids=["pretrain_lr", "dekm_lr"],
 )
-def test_a_diverging_run_prints_only_its_error_line(small_config, capsys, keys, message):
+def test_a_diverging_run_prints_only_its_error_line(small_config, capsys, scaled, message):
     # numpy's overflow warnings (errors under this suite's filter) stay quiet
-    cfg_path, _ = small_config
-    cfg = {**json.loads(cfg_path.read_text()), **keys, "repeats": 1}
+    cfg_path, tmp = small_config
+    cfg = {**json.loads(cfg_path.read_text()), "repeats": 1}
+    if scaled == "data":
+        ds = data.gen_synthetic(**{k: v for k, v in cfg["dataset"].items() if k != "type"})
+        data.save_csv(tmp / "big.csv", ds.x * 1e200, ds.labels)
+        cfg["dataset"] = {"type": "csv", "path": str(tmp / "big.csv"), "has_labels": True}
+    else:
+        model = ae.xavier_init([8, *cfg["hidden_dims"], 4], 0)
+        model.flat *= 1e200
+        ae.save_checkpoint(tmp / "big.json", model)
+        cfg["checkpoint"] = str(tmp / "big.json")
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

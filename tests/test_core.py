@@ -52,10 +52,6 @@ def test_config_validation():
         ("k", True),
         ("inner_steps", 1.5),
         ("inner_batch_size", 0),
-        ("lr", -1),
-        ("lr", 0.0),
-        ("lr", "x"),
-        ("lr", float("nan")),
         ("stop_fraction", "0.1"),
     ],
 )
@@ -110,7 +106,6 @@ _dekm_fields = st.fixed_dictionaries(
         "strategy": st.sampled_from(core.STRATEGIES),
         "batch_mode": st.sampled_from(core.BATCH_MODES),
         "stop_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        "lr": _positive,
     },
 )
 # one mapping of each valid dataset type, with only the keys that type reads
@@ -139,7 +134,6 @@ _experiment_configs = st.builds(
     embedding_dim=st.none() | st.integers(1, 64),
     pretrain_epochs=st.integers(0, 1000),
     pretrain_batch_size=st.integers(1, 4096),
-    pretrain_lr=_positive,
     checkpoint=st.none() | st.text(),
     dekm=st.just({}) | _dekm_fields,
     repeats=st.integers(1, 20),

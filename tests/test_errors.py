@@ -136,7 +136,12 @@ CASES = {
     "model_flat_a_list": (DimensionError, lambda: ae.AutoencoderModel([3, 2], [0.0] * 17)),
     "model_dims_none": (ConfigurationError, lambda: ae.AutoencoderModel(None, np.zeros(17))),
     "model_dims_an_int": (ConfigurationError, lambda: ae.AutoencoderModel(5, np.zeros(17))),
-    "lr_beyond_float_range": (ConfigurationError, lambda: core.DekmConfig(k=2, lr=10**400)),
+    "adam_unequal_lengths": (
+        DimensionError,
+        lambda: ae.adam_step([np.zeros(2)], [], ae.AdamState.for_params([np.zeros(2)])),
+    ),
+    "experiment_config_dekm_a_list": (ConfigurationError, lambda: config.ExperimentConfig(dekm=[1])),
+    "acc_empty": (ConfigurationError, lambda: metrics.acc([], [])),
     "config_array_strategy": (
         ConfigurationError,
         lambda: core.DekmConfig(k=2, strategy=np.array(["last_dim_Y", "all_dims_H"])),
@@ -203,6 +208,7 @@ WRITERS_KEEP_THE_FILE = {
         )
         for name, meta in (("bool", True), ("int", -1), ("str", "x"))
     },
+    "write_text_none": lambda path: data.write_text(path, None),
 }
 
 
@@ -213,6 +219,31 @@ def test_writers_reject_bad_arguments_before_opening_the_file(tmp_path, case):
     with pytest.raises(ConfigurationError):
         WRITERS_KEEP_THE_FILE[case](path)
     assert path.read_text() == "keep me"
+
+
+# each reader on contents it rejects, and a writer given a directory: the
+# error, the file's bytes, and the call on its path
+BAD_FILES = {
+    "idx_images_bad_magic": (
+        FormatError, bytes(16), lambda path: data.load_idx(path, path),
+    ),
+    "csv_label_column_alone": (
+        FormatError, b"0\n1\n", lambda path: data.load_csv(path, True),
+    ),
+    "labels_blank": (ConfigurationError, b"\n \n", data.load_labels),
+    "write_text_onto_a_directory": (
+        ConfigurationError, b"", lambda path: data.write_text(path.parent, "x"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FILES)
+def test_bad_files_fail_at_the_boundary(tmp_path, case):
+    error, contents, call = BAD_FILES[case]
+    path = tmp_path / "file"
+    path.write_bytes(contents)
+    with pytest.raises(error):
+        call(path)
 
 
 def test_load_checkpoint_rejects_a_meta_that_is_not_an_object(tmp_path):
