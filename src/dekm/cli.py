@@ -56,6 +56,7 @@ def _start_model(cfg: ExperimentConfig, ds: data.Dataset):
 def cmd_pretrain(cfg: ExperimentConfig) -> int:
     if cfg.checkpoint is not None:
         raise ConfigurationError("pretrain writes a checkpoint and cannot start from one")
+    cfg.encoder_dims(0)  # a missing embedding width fails before any work
     ds = cfg.dataset_loader()()
     out = data.output_dir(cfg.out, "checkpoint.json", "loss.csv")
     model, losses = _pretrain(cfg, ds, cfg.seed)
@@ -79,7 +80,7 @@ def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start, tags=None, **ov
 
     Returns the per-repeat (history, seconds) pairs, the last repeat's
     result, and the history.jsonl text: every record tagged with its repeat
-    and ``tags``, timing blanked so the file is deterministic.
+    and ``tags``.
     """
     runs, lines = [], []
     for r in range(cfg.repeats):
@@ -90,7 +91,7 @@ def _run_repeats(cfg: ExperimentConfig, ds: data.Dataset, start, tags=None, **ov
         )
         runs.append((history, time.perf_counter() - t0))
         for rec in history.as_dicts():
-            rec.update(tags or {}, repeat=r, seconds=None)
+            rec.update(tags or {}, repeat=r)
             lines.append(json.dumps(rec, sort_keys=True) + "\n")
     return runs, result, "".join(lines)
 

@@ -53,7 +53,7 @@ class DekmConfig:
             ("seed", 0),
         ):
             check_int(name, getattr(self, name), minimum)
-        check_real("stop_fraction", self.stop_fraction, positive=True)
+        check_real("stop_fraction", self.stop_fraction)
         if self.stop_fraction >= 1.0:
             raise ConfigurationError(
                 f"stop_fraction must be in (0, 1), got {self.stop_fraction}"
@@ -76,7 +76,6 @@ class IterationRecord:
     changed_fraction: float | None
     acc: float | None
     nmi: float | None
-    seconds: float
 
 
 @dataclass
@@ -221,7 +220,7 @@ def run_dekm(
     aligned label-change fraction drops below ``stop_fraction`` or the
     iteration budget runs out. The last record has ``l4=None`` and holds
     the returned clustering; after a stop it copies the stopping pass's
-    record (next ``iter``, ``seconds=0.0``) and no further pass runs.
+    record (next ``iter``) and no further pass runs.
     The history also counts the encoder updates and the seconds per phase.
     Non-finite ``x`` and ``labels`` not one integer per row are rejected up front.
     """
@@ -239,7 +238,6 @@ def run_dekm(
     clock = _PhaseClock()
 
     for it in range(config.max_outer_iters + 1):
-        t0 = time.perf_counter()
         h = ae.encode(model, x)
         clock.lap("encode")
         init = km.kmeanspp_init(h, config.k, rng)
@@ -261,7 +259,6 @@ def run_dekm(
             changed_fraction=changed,
             acc=None if labels is None else metrics.acc(labels, result.assignments),
             nmi=None if labels is None else metrics.nmi(labels, result.assignments),
-            seconds=time.perf_counter() - t0,
         )
         history.records.append(record)
         clock.lap("metrics")
@@ -270,7 +267,7 @@ def run_dekm(
         if changed is not None and changed < config.stop_fraction:
             # the final record repeats this clustering with l4=None
             history.stopped_early = True
-            history.records.append(replace(record, iter=it + 1, l4=None, seconds=0.0))
+            history.records.append(replace(record, iter=it + 1, l4=None))
             break
         prev_assign = result.assignments
         ae.train(lambda xb, tb: representation_step(model, xb, tb, adam, grad), [x, targets],

@@ -248,7 +248,7 @@ def check_synthetic(k, per_cluster_n, latent_dim, ambient_dim, separation, seed)
         ("ambient_dim", ambient_dim),
     ):
         check_int(name, value, 1)
-    check_real("separation", separation, positive=True)
+    check_real("separation", separation)
     check_int("seed", seed, 0)
     if ambient_dim < latent_dim:
         raise ConfigurationError(

@@ -42,18 +42,16 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def check_real(name: str, value, positive: bool) -> None:
+def check_real(name: str, value) -> None:
     """Raise ``ConfigurationError`` unless ``value`` is a finite number (not
-    a bool) that is > 0 if ``positive``, else >= 0."""
+    a bool) > 0."""
     ok = (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max  # False for nan, inf and 10**400
-        and (value > 0 if positive else value >= 0)
+        and 0 < value <= sys.float_info.max  # False for nan, inf and 10**400
     )
     if not ok:
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
+        raise ConfigurationError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def check_size(what: str, count: int) -> None:

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError, DimensionError, check_array, check_int, check_matrix, check_real,
-)
+from .errors import ConfigurationError, DimensionError, check_array, check_int, check_matrix
+
+# Lloyd's iteration cap and relative-improvement tolerance
+MAX_ITER, TOL = 300, 1e-6
 
 
 @dataclass
@@ -120,33 +121,25 @@ def _inertia(h, centroids, assignments) -> float:
     return float(np.square(diff, out=diff).sum())
 
 
-def lloyd(
-    h: np.ndarray,
-    k: int,
-    init_centroids: np.ndarray,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> ClusterResult:
+def lloyd(h: np.ndarray, k: int, init_centroids: np.ndarray) -> ClusterResult:
     """Alternate nearest-centroid assignment and mean updates until the
-    relative inertia improvement is at most ``tol`` (>= 0) or ``max_iter``
-    is hit. Assignments that repeat give bit-identical means and inertia,
-    so they always stop it. Non-finite ``h`` or ``init_centroids`` is a
-    NumericError."""
+    relative inertia improvement is at most ``TOL`` or ``MAX_ITER``
+    iterations have run. Assignments that repeat give bit-identical means
+    and inertia, so they always stop it. Non-finite ``h`` or
+    ``init_centroids`` is a NumericError."""
     h = _check_points(h, k)
     centroids = check_matrix("init_centroids", init_centroids, k, h.shape[1], finite=True)
-    check_int("max_iter", max_iter, 1)
-    check_real("tol", tol, positive=False)
 
     h_norms = _row_norms(h)
     trace: list[float] = []
-    for i in range(max_iter):
+    for i in range(MAX_ITER):
         # argmin takes the lowest index on ties
         assignments = np.argmin(_sq_dists(h, centroids, h_norms), axis=1)
         counts = np.bincount(assignments, minlength=k)
         _repair_empty(h, assignments, centroids, counts)
         centroids = _means(h, assignments, counts)
         trace.append(_inertia(h, centroids, assignments))
-        if i and np.isfinite(trace[-2]) and trace[-2] - trace[-1] <= tol * max(trace[-2], 1e-300):
+        if i and np.isfinite(trace[-2]) and trace[-2] - trace[-1] <= TOL * max(trace[-2], 1e-300):
             break
     return ClusterResult(
         assignments=assignments,

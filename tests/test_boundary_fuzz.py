@@ -190,8 +190,8 @@ FUNCTIONS = {
     "kmeanspp_init": (km.kmeanspp_init, lambda: {"h": H, "k": 2, "seed": 0}, ("h", "k", "seed")),
     "lloyd": (
         km.lloyd,
-        lambda: {"h": H, "k": 2, "init_centroids": H[[0, 3]], "max_iter": 300, "tol": 1e-6},
-        ("h", "k", "init_centroids", "max_iter", "tol"),
+        lambda: {"h": H, "k": 2, "init_centroids": H[[0, 3]]},
+        ("h", "k", "init_centroids"),
     ),
     "assigned_centroids": (km.assigned_centroids, lambda: {"h": H, "r": CLUSTERING}, ("h",)),
     "within_class_scatter": (

@@ -96,17 +96,27 @@ def test_run_on_unlabelled_data_writes_no_acc(small_config):
     assert aggregate["acc"] == aggregate["nmi"] == {"mean": None, "std": None}
 
 
-@pytest.mark.parametrize("command", ["run", "ablate"])
-def test_a_missing_k_exits_2_before_any_work(small_config, monkeypatch, capsys, command):
-    # embedding_dim sets the model width, so only the loop needs dekm.k
+@pytest.mark.parametrize(
+    "command, width, error",
+    [
+        # embedding_dim sets the model width, so only the loop needs dekm.k
+        pytest.param("run", {"embedding_dim": 4}, "dekm.k (cluster count) is required", id="run"),
+        pytest.param("ablate", {"embedding_dim": 4}, "dekm.k (cluster count) is required",
+                     id="ablate"),
+        # pretrain needs a width, which embedding_dim or dekm.k gives
+        pytest.param("pretrain", {}, "set embedding_dim or dekm.k", id="pretrain"),
+    ],
+)
+def test_a_missing_k_exits_2_before_any_work(small_config, monkeypatch, capsys, command, width,
+                                             error):
     cfg_path, tmp = small_config
-    cfg = {**json.loads(cfg_path.read_text()), "embedding_dim": 4, "dekm": {}}
+    cfg = {**json.loads(cfg_path.read_text()), **width, "dekm": {}}
     cfg_path.write_text(json.dumps(cfg))
     loads, pretrained = [], []
     monkeypatch.setattr(data, "gen_synthetic", lambda **kw: loads.append(kw))
     monkeypatch.setattr(cli.ae, "pretrain", lambda *a, **kw: pretrained.append(a))
     assert cli.main([command, "--config", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == "error: dekm.k (cluster count) is required\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not loads and not pretrained
     assert not (tmp / "out").exists()
 
@@ -442,23 +452,25 @@ def test_an_empty_checkpoint_path_is_read_like_any_other(
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("repeats", "3"),
-        ("seed", "1"),
-        ("seed", -1),
-        ("hidden_dims", "ab"),
-        ("hidden_dims", [12, 0]),
-        ("pretrain_epochs", -3),
-        ("pretrain_batch_size", 0),
-        ("embedding_dim", 0),
-        ("embedding_dim", -2),
-        ("dekm", [1]),
-        ("checkpoint", 5),
-        ("checkpoint", "ck\x00.json"),
-        ("out", 5),
-        ("out", "o\x00ut"),
-        ("dekm.max_outer_iters", -1),
-        ("dekm.k", "2"),
-        ("dekm.lr", "x"),  # not a key: exits 2 as unknown
+        # each id names the key and the kind of value, so removing a row
+        # renames no other
+        pytest.param("repeats", "3", id="repeats-str"),
+        pytest.param("seed", "1", id="seed-str"),
+        pytest.param("seed", -1, id="seed-negative"),
+        pytest.param("hidden_dims", "ab", id="hidden_dims-str"),
+        pytest.param("hidden_dims", [12, 0], id="hidden_dims-zero_entry"),
+        pytest.param("pretrain_epochs", -3, id="pretrain_epochs-negative"),
+        pytest.param("pretrain_batch_size", 0, id="pretrain_batch_size-zero"),
+        pytest.param("embedding_dim", 0, id="embedding_dim-zero"),
+        pytest.param("embedding_dim", -2, id="embedding_dim-negative"),
+        pytest.param("dekm", [1], id="dekm-list"),
+        pytest.param("checkpoint", 5, id="checkpoint-int"),
+        pytest.param("checkpoint", "ck\x00.json", id="checkpoint-nul"),
+        pytest.param("out", 5, id="out-int"),
+        pytest.param("out", "o\x00ut", id="out-nul"),
+        pytest.param("dekm.max_outer_iters", -1, id="dekm.max_outer_iters-negative"),
+        pytest.param("dekm.k", "2", id="dekm.k-str"),
+        pytest.param("dekm.lr", "x", id="dekm.lr-str"),  # not a key: exits 2 as unknown
     ],
 )
 def test_bad_config_values_fail_at_the_boundary(small_config, capsys, key, value):

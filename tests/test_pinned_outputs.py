@@ -14,7 +14,11 @@ l4, inertia and weights move by rounding only, and the ablate digests lost
 the retired all_dims_Y column and history file. The two CLI run pins were
 re-recorded when Adam's step size became a constant: ``results.json``'s
 config echo lost ``"pretrain_lr": 0.001``, and the new digests equal the
-old outputs hashed with that one key dropped, so no float moved. The GEMM
+old outputs hashed with that one key dropped, so no float moved. They were
+re-recorded again when the per-pass ``seconds`` left the run record:
+``history.jsonl`` lost its ``"seconds": null`` key on every line, and the
+new digests equal the old outputs hashed with that key dropped from each
+line, so again no float moved. The GEMM
 summation order belongs to the BLAS kernel, so they hold only for the BLAS
 build they were recorded with (OpenBLAS, x86-64) and for the runtime kernel
 that OpenBLAS picked for the CPU (SkylakeX). Under ``OPENBLAS_CORETYPE=Haswell`` eleven
@@ -42,8 +46,7 @@ def _sha256(*chunks: bytes) -> str:
 
 
 def _history_bytes(history) -> bytes:
-    records = [{k: v for k, v in r.items() if k != "seconds"} for r in history.as_dicts()]
-    doc = {"records": records, "stopped_early": history.stopped_early}
+    doc = {"records": history.as_dicts(), "stopped_early": history.stopped_early}
     return json.dumps(doc, sort_keys=True).encode()
 
 
@@ -174,13 +177,13 @@ def test_cli_pretrain_is_pinned(cli_outputs):
 
 def test_cli_run_is_pinned(cli_outputs):
     assert _run_digest(cli_outputs / "run") == (
-        "78b4900b0c363d747ea8bf1a47f86237b7987b1933f6839fc384888595bb605f"
+        "07d3e6c06f4bc49e80dad65df88c76f41e97861fdf0bced653c994600106c9de"
     )
 
 
 def test_cli_run_from_checkpoint_is_pinned(cli_outputs):
     assert _run_digest(cli_outputs / "run_ck") == (
-        "26c8f15da22d83e041ab94f02fbcc6e6bc950deff0ca87c5dbe1de4c2c2a3d2b"
+        "e58c64360a3691cbb7acf3f39c284e8fbdda0ca09dd4475073be6c7fa060ee4c"
     )
 
 
@@ -198,8 +201,5 @@ def test_cli_ablate_is_pinned(cli_outputs, name):
     chunks = [_without_config_line((out / "ablation.csv").read_text())]
     for path in sorted(out.glob("history_*.jsonl")):
         chunks.append(path.name.encode())
-        for line in path.read_text().splitlines():
-            rec = json.loads(line)
-            rec.pop("seconds")  # wall-clock at the time these were recorded
-            chunks.append(json.dumps(rec, sort_keys=True).encode())
+        chunks.extend(line.encode() for line in path.read_text().splitlines())
     assert _sha256(*chunks) == CLI_ABLATE_DIGESTS[name]

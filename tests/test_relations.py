@@ -48,15 +48,11 @@ def _run(pretrained, strategy, batch_mode, labelled=True, **config):
     return run_dekm(m.copy(), ds.x, cfg, ds.labels if labelled else None)
 
 
-def _records(history):
-    return [{k: v for k, v in r.items() if k != "seconds"} for r in history.as_dicts()]
-
-
 @pytest.mark.parametrize("strategy,batch_mode", CASES)
 def test_a_shorter_budget_runs_a_prefix_of_the_longer_run(pretrained, strategy, batch_mode):
     _, _, short = _run(pretrained, strategy, batch_mode, max_outer_iters=2)
     _, _, long = _run(pretrained, strategy, batch_mode, max_outer_iters=5)
-    head, tail = _records(short), _records(long)[: len(short.records)]
+    head, tail = short.as_dicts(), long.as_dicts()[: len(short.records)]
     # the short run's last record is its final clustering, with no l4
     assert head[-1]["l4"] is None
     head[-1]["l4"] = tail[-1]["l4"]
@@ -92,7 +88,7 @@ def test_a_checkpoint_round_trip_gives_the_same_run(pretrained, tmp_path, batch_
     cfg = DekmConfig(k=4, batch_mode=batch_mode, seed=3, max_outer_iters=3)
     res, model, history = run_dekm(loaded, ds.x, cfg, ds.labels)
     ref_res, ref_model, ref_history = run_dekm(m.copy(), ds.x, cfg, ds.labels)
-    assert _records(history) == _records(ref_history)
+    assert history.as_dicts() == ref_history.as_dicts()
     assert np.array_equal(res.assignments, ref_res.assignments)
     assert model.flat.tobytes() == ref_model.flat.tobytes()
 
@@ -169,7 +165,7 @@ def test_dekm_run_writes_the_records_of_run_dekm(pretrained, tmp_path):
     for r in range(config["repeats"]):
         cfg = DekmConfig(**config["dekm"], seed=config["seed"] + r)
         _, _, h = run_dekm(m.copy(), ds.x, cfg, ds.labels)
-        expected += [dict(rec, repeat=r, seconds=None) for rec in h.as_dicts()]
+        expected += [dict(rec, repeat=r) for rec in h.as_dicts()]
     assert history == expected
 
 
