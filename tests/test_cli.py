@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -194,6 +195,24 @@ def test_ablate_outputs_aligned_curves(small_config):
     # all variants share the pretrained model, so iteration-0 ACC is identical
     first = lines[2].split(",")[1:]
     assert len(set(first)) == 1
+
+
+@pytest.mark.parametrize("command, files, tags", [
+    ("run", ["history.jsonl"], {"repeat"}),
+    ("ablate", [f"history_{name}.jsonl" for name in cli.ABLATION_VARIANTS],
+     {"repeat", "variant"}),
+])
+def test_history_lines_hold_the_record_and_its_tags(small_config, command, files, tags):
+    # no per-pass timing: results.json timing holds all of it
+    cfg_path, tmp = small_config
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp / command)]
+    if command == "ablate":
+        argv += ["--repeats", "1", "--iters", "2"]
+    assert cli.main(argv) == 0
+    fields = {f.name for f in dataclasses.fields(core.IterationRecord)}
+    for name in files:
+        lines = (tmp / command / name).read_text().splitlines()
+        assert lines and all(set(json.loads(l)) == fields | tags for l in lines)
 
 
 def test_eval_identical_and_permuted(tmp_path):

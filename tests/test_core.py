@@ -85,6 +85,12 @@ def test_run_dekm_runs_lloyd_to_its_default_cap_and_tolerance(monkeypatch):
     assert (km.MAX_ITER, km.TOL) == (300, 1e-6)
 
 
+def test_iteration_record_holds_no_timing():
+    # results.json timing and RunHistory.phase_seconds hold the run's timing
+    names = [f.name for f in dataclasses.fields(core.IterationRecord)]
+    assert names == ["iter", "inertia", "l4", "changed_fraction", "acc", "nmi"]
+
+
 def test_dekm_config_overrides_are_validated():
     cfg = ExperimentConfig(dekm={"k": 2, "strategy": "all_dims_H"})
     dc = cfg.dekm_config(3, batch_mode="full_batch")

@@ -3,13 +3,14 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from dekm import autoencoder as ae, config, core, data, kmeans as km, metrics
 from dekm.errors import (
-    ConfigurationError, DimensionError, FormatError, NumericError, check_matrix,
+    ConfigurationError, DimensionError, FormatError, NumericError, check_matrix, check_real,
 )
 
 H = np.arange(15.0).reshape(5, 3) ** 1.5  # 5 distinct points in 3-D
@@ -171,6 +172,21 @@ def test_bad_arguments_fail_at_the_boundary(case):
     error, call = CASES[case]
     with pytest.raises(error):
         call()
+
+
+def test_check_real_takes_a_finite_number_above_zero():
+    for value in (5e-324, 1, 0.5, np.float64(2.0), sys.float_info.max):
+        check_real("x", value)
+
+
+# 0.0 passed when Lloyd's tol was a setting; nothing takes zero now
+@pytest.mark.parametrize(
+    "value", [0.0, -1.0, float("nan"), float("inf"), True, "1", 10**400],
+    ids=["zero", "negative", "nan", "inf", "bool", "str", "10**400"],
+)
+def test_check_real_rejects_all_else(value):
+    with pytest.raises(ConfigurationError, match="x must be a finite number > 0"):
+        check_real("x", value)
 
 
 @pytest.mark.parametrize("n", [2**64, 10**400], ids=["2**64", "10**400"])

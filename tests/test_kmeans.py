@@ -75,6 +75,38 @@ def test_lloyd_takes_no_setting(name):
         km.lloyd(h, 2, h[:2], **{name: 1})
 
 
+def _slow_start():
+    # one blob from its first four points: the default run takes 8 iterations
+    h = np.random.default_rng(0).normal(size=(200, 2))
+    return h, h[:4].copy()
+
+
+def test_lloyd_stops_at_the_max_iter_cap(monkeypatch):
+    h, init = _slow_start()
+    assert km.lloyd(h, 4, init).iterations_run > 2
+    monkeypatch.setattr(km, "MAX_ITER", 2)
+    res = km.lloyd(h, 4, init)
+    assert res.iterations_run == len(res.inertia_trace) == 2
+
+
+def test_lloyd_stops_once_the_improvement_is_within_tol(monkeypatch):
+    # no step improves the inertia by more than all of it, so TOL = 1
+    # stops at the first comparison
+    h, init = _slow_start()
+    monkeypatch.setattr(km, "TOL", 1.0)
+    assert km.lloyd(h, 4, init).iterations_run == 2
+
+
+def test_lloyd_stops_when_assignments_repeat_even_at_zero_tol(monkeypatch):
+    h, init = _slow_start()
+    monkeypatch.setattr(km, "TOL", 0.0)
+    res = km.lloyd(h, 4, init)
+    assert res.iterations_run < km.MAX_ITER
+    assert res.inertia_trace[-1] == res.inertia_trace[-2]
+    again = km.lloyd(h, 4, res.centroids)
+    assert np.array_equal(again.assignments, res.assignments)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_lloyd_rejects_a_non_finite_embedding(bad):
     h = np.arange(12.0).reshape(6, 2)
