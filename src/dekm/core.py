@@ -25,12 +25,15 @@ from . import kmeans as km
 from . import metrics
 from .errors import (
     ConfigurationError, ConvergenceError, DimensionError,
-    check_int, check_labels, check_matrix, check_real,
+    check_int, check_labels, check_matrix,
 )
 
 STRATEGIES = ("last_dim_Y", "random_dim_Y", "random_dim_H", "all_dims_H")
 BATCH_MODES = ("mini_batch", "full_batch")
 PHASES = ("encode", "kmeans", "transform", "targets", "update", "metrics")
+# the loop stops once fewer than this share of points change cluster
+# (DEC's tol of 0.1%, Xie et al., ICML 2016)
+STOP_FRACTION = 0.001
 
 
 @dataclass
@@ -41,7 +44,6 @@ class DekmConfig:
     inner_steps: int = 1  # passes over the data per outer iteration
     strategy: str = "last_dim_Y"
     batch_mode: str = "mini_batch"
-    stop_fraction: float = 0.001
     seed: int = 0
 
     def __post_init__(self):
@@ -53,11 +55,6 @@ class DekmConfig:
             ("seed", 0),
         ):
             check_int(name, getattr(self, name), minimum)
-        check_real("stop_fraction", self.stop_fraction)
-        if self.stop_fraction >= 1.0:
-            raise ConfigurationError(
-                f"stop_fraction must be in (0, 1), got {self.stop_fraction}"
-            )
         if not isinstance(self.strategy, str) or self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
@@ -217,7 +214,7 @@ def run_dekm(
     Per outer iteration: encode, run K-means, record metrics, then hold the
     transform, centroids and targets fixed while the encoder takes one
     epoch of Adam steps (or a single full-batch step). Stops when the
-    aligned label-change fraction drops below ``stop_fraction`` or the
+    aligned label-change fraction drops below ``STOP_FRACTION`` or the
     iteration budget runs out. The last record has ``l4=None`` and holds
     the returned clustering; after a stop it copies the stopping pass's
     record (next ``iter``) and no further pass runs.
@@ -264,7 +261,7 @@ def run_dekm(
         clock.lap("metrics")
         if it == config.max_outer_iters:
             break
-        if changed is not None and changed < config.stop_fraction:
+        if changed is not None and changed < STOP_FRACTION:
             # the final record repeats this clustering with l4=None
             history.stopped_early = True
             history.records.append(replace(record, iter=it + 1, l4=None))

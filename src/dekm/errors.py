@@ -44,12 +44,12 @@ def check_int(name: str, value, minimum: int) -> None:
 
 def check_real(name: str, value) -> None:
     """Raise ``ConfigurationError`` unless ``value`` is a finite number (not
-    a bool) > 0."""
-    ok = (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and 0 < value <= sys.float_info.max  # False for nan, inf and 10**400
-    )
+    a bool) > 0, compared as a Python float whatever its numpy type."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        ok = ok and 0 < float(value) <= sys.float_info.max  # False for nan and inf
+    except OverflowError:  # an int beyond float range, such as 10**400
+        ok = False
     if not ok:
         raise ConfigurationError(f"{name} must be a finite number > 0, got {value!r}")
 

@@ -55,16 +55,15 @@ def _check_points(h, k) -> np.ndarray:
     return h
 
 
-def kmeanspp_init(h: np.ndarray, k: int, seed) -> np.ndarray:
+def kmeanspp_init(h: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-weighted seeding: first centroid uniform, each next proportional
-    to squared distance from the nearest chosen one. ``seed`` may be an int
-    >= 0 or a numpy Generator, which ``default_rng`` returns unaltered.
-    Non-finite ``h`` is a NumericError."""
+    to squared distance from the nearest chosen one, drawn from ``rng``, a
+    numpy Generator (else ConfigurationError). Non-finite ``h`` is a
+    NumericError."""
     h = _check_points(h, k)
-    if not isinstance(seed, np.random.Generator):
-        check_int("seed", seed, 0)
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigurationError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     n = h.shape[0]
-    rng = np.random.default_rng(seed)
 
     h_norms = _row_norms(h)
     chosen = [int(rng.integers(n))]

@@ -33,9 +33,9 @@ VALID = {
 }
 # keys no type reads, each one letter or word off a real one
 MISSPELT = ["has_label", "seperation", "label", "image", "Path", "latentdim", "seeds", ""]
-# values most keys reject, among them strings no type is
+# values most keys reject, among them strings no type is, and numpy scalars
 EXTREMES = [None, True, float("nan"), float("inf"), -1, 0, 2**63, 10**400, -(10**400),
-            [4], b"x", "mnist", "CSV"]
+            [4], b"x", "mnist", "CSV", np.float32(2.0), np.float32("inf"), np.int64(-1)]
 HOSTILE = (
     st.sampled_from(EXTREMES)
     | st.floats()
@@ -108,7 +108,7 @@ TINY = {
     "pretrain_batch_size": 4,
     "checkpoint": None,
     "dekm": {"k": 2, "max_outer_iters": 1, "inner_batch_size": 4, "inner_steps": 1,
-             "strategy": "last_dim_Y", "batch_mode": "mini_batch", "stop_fraction": 0.001},
+             "strategy": "last_dim_Y", "batch_mode": "mini_batch"},
     "repeats": 1,
     "out": "out",
     "seed": 0,
@@ -152,8 +152,8 @@ def test_the_cli_grid_base_config_exits_0(tmp_path, monkeypatch, capsys, command
 def test_each_cli_key_at_each_extreme_exits_0_1_or_2(tmp_path, monkeypatch, capsys, command, key):
     monkeypatch.chdir(tmp_path)  # relative out paths land here
     for value in EXTREMES:
-        if isinstance(value, bytes) or key in LONGER and value in (2**63, 10**400):
-            continue  # JSON holds no bytes; LONGER is above
+        if isinstance(value, (bytes, np.generic)) or key in LONGER and value in (2**63, 10**400):
+            continue  # JSON holds no bytes or numpy scalars; LONGER is above
         config = _mutated(key, value)
         (tmp_path / "config.json").write_text(json.dumps(config))
         code = cli.main([command, "--config", "config.json"])
@@ -187,7 +187,11 @@ def _gradient():
 # - path arguments, which test_errors.py passes pipe descriptors and 2**63;
 # - the public functions in EXEMPT.
 FUNCTIONS = {
-    "kmeanspp_init": (km.kmeanspp_init, lambda: {"h": H, "k": 2, "seed": 0}, ("h", "k", "seed")),
+    "kmeanspp_init": (
+        km.kmeanspp_init,
+        lambda: {"h": H, "k": 2, "rng": np.random.default_rng(0)},
+        ("h", "k", "rng"),
+    ),
     "lloyd": (
         km.lloyd,
         lambda: {"h": H, "k": 2, "init_centroids": H[[0, 3]]},
@@ -325,6 +329,9 @@ def _extremes(valid):
         "negative": -1,
         "huge": 2**63,
         "beyond float": 10**400,
+        "float32": np.float32(2.0),
+        "float32 inf": np.float32("inf"),
+        "int64": np.int64(-1),
     }
 
 

@@ -300,6 +300,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         # Adam's step size is a constant too
         pytest.param("pretrain", "lr", id="pretrain-lr"),
         pytest.param("run", "lr", id="run-lr"),
+        # and so is the stop threshold, core.STOP_FRACTION
+        pytest.param("run", "stop_fraction", id="run-stop_fraction"),
+        pytest.param("ablate", "stop_fraction", id="ablate-stop_fraction"),
     ],
 )
 def test_unknown_dekm_key_is_a_config_error(small_config, capsys, command, key):
@@ -309,7 +312,8 @@ def test_unknown_dekm_key_is_a_config_error(small_config, capsys, command, key):
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+    assert err.startswith("error: unknown dekm config keys") and err.count("\n") == 1
+    assert key in err
 
 
 @pytest.mark.parametrize("cell", ["0.5", "abc", "inf", "1e300"])

@@ -23,7 +23,7 @@ from conftest import (
 
 
 def cluster(h, k, seed=0):
-    return km.lloyd(h, k, km.kmeanspp_init(h, k, seed))
+    return km.lloyd(h, k, km.kmeanspp_init(h, k, np.random.default_rng(seed)))
 
 
 def make_state(rng, n=30, e=4, k=3):
@@ -40,8 +40,6 @@ def test_config_validation():
         core.DekmConfig(k=2, strategy="bogus")
     with pytest.raises(ConfigurationError):
         core.DekmConfig(k=2, batch_mode="bogus")
-    with pytest.raises(ConfigurationError):
-        core.DekmConfig(k=2, stop_fraction=0.0)
 
 
 @pytest.mark.parametrize(
@@ -52,7 +50,6 @@ def test_config_validation():
         ("k", True),
         ("inner_steps", 1.5),
         ("inner_batch_size", 0),
-        ("stop_fraction", "0.1"),
     ],
 )
 def test_dekm_config_rejects_bad_values(field, value):
@@ -65,6 +62,16 @@ def test_dekm_config_has_no_lloyd_settings(field):
     # Lloyd's cap and tolerance are kmeans.lloyd's constants, not settings
     with pytest.raises(TypeError, match=field):
         core.DekmConfig(**{"k": 2, field: 1})
+
+
+def test_dekm_config_has_no_stop_fraction():
+    # the stop threshold is the constant core.STOP_FRACTION, DEC's 0.1%
+    with pytest.raises(TypeError, match="stop_fraction"):
+        core.DekmConfig(k=2, stop_fraction=0.1)
+    assert core.STOP_FRACTION == 0.001
+    names = [f.name for f in dataclasses.fields(core.DekmConfig)]
+    assert names == ["k", "max_outer_iters", "inner_batch_size", "inner_steps",
+                     "strategy", "batch_mode", "seed"]
 
 
 def test_run_dekm_runs_lloyd_to_its_default_cap_and_tolerance(monkeypatch):
@@ -111,7 +118,6 @@ _dekm_fields = st.fixed_dictionaries(
         "inner_steps": st.integers(0, 5),
         "strategy": st.sampled_from(core.STRATEGIES),
         "batch_mode": st.sampled_from(core.BATCH_MODES),
-        "stop_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     },
 )
 # one mapping of each valid dataset type, with only the keys that type reads
@@ -482,7 +488,7 @@ def test_representation_step_leaves_decoder_untouched(rng):
 
 
 def test_should_stop():
-    # run_dekm's stopping rule: changed_fraction(prev, cur) < stop_fraction
+    # run_dekm's stopping rule: changed_fraction(prev, cur) < STOP_FRACTION
     a = np.array([0, 1, 0, 1])
     assert core.changed_fraction(a, a) < 0.001
     assert core.changed_fraction(a, 1 - a) < 0.001  # pure relabeling, zero changes
@@ -571,10 +577,11 @@ def test_run_dekm_decoder_frozen_and_deterministic():
         assert np.array_equal(a, b)
 
 
-def test_run_dekm_stopping_rule_triggers():
+def test_run_dekm_stopping_rule_triggers(monkeypatch):
     ds = synthetic_fixture()
     model = pretrained_model(ds, 4)
-    cfg = core.DekmConfig(k=4, max_outer_iters=50, stop_fraction=0.9, seed=4)
+    monkeypatch.setattr(core, "STOP_FRACTION", 0.9)
+    cfg = core.DekmConfig(k=4, max_outer_iters=50, seed=4)
     _, _, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
     # a near-1 threshold stops as soon as a change fraction is available
     assert history.stopped_early
@@ -588,13 +595,14 @@ def test_run_dekm_returns_the_pass_that_stopped(monkeypatch):
     encode, lloyd = ae.encode, km.lloyd
     monkeypatch.setattr(ae, "encode", lambda *a: encodes.append(encode(*a)) or encodes[-1])
     monkeypatch.setattr(km, "lloyd", lambda *a: results.append(lloyd(*a)) or results[-1])
-    cfg = core.DekmConfig(k=4, max_outer_iters=50, stop_fraction=0.9, seed=4)
+    monkeypatch.setattr(core, "STOP_FRACTION", 0.9)
+    cfg = core.DekmConfig(k=4, max_outer_iters=50, seed=4)
     result, model, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
     # the rule fires at pass s = 1, the first with a change fraction: s + 1
     # encodes, and the final record repeats the stopping pass's clustering
     *_, stop, final = history.records
     assert history.stopped_early and stop.iter == 1 and final.iter == 2
-    assert stop.changed_fraction < cfg.stop_fraction and stop.l4 is not None
+    assert stop.changed_fraction < core.STOP_FRACTION and stop.l4 is not None
     assert len(encodes) == len(results) == stop.iter + 1
     assert result is results[-1] and history.embedding is encodes[-1]
     for name in ("inertia", "changed_fraction", "acc", "nmi"):
@@ -609,7 +617,8 @@ def test_run_dekm_scores_each_clustering_once(monkeypatch):
     for module, name in ((metrics, "acc"), (metrics, "nmi"), (core, "changed_fraction")):
         f = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
-    cfg = core.DekmConfig(k=4, max_outer_iters=50, stop_fraction=0.9, seed=4)
+    monkeypatch.setattr(core, "STOP_FRACTION", 0.9)
+    cfg = core.DekmConfig(k=4, max_outer_iters=50, seed=4)
     _, _, history = core.run_dekm(model, ds.x, cfg, labels=ds.labels)
     *_, stop, final = history.records
     assert history.stopped_early and stop.iter == 1
@@ -620,17 +629,20 @@ def test_run_dekm_scores_each_clustering_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cfg, stops",
+    "cfg, stop_fraction, stops",
     [
-        (core.DekmConfig(k=4, max_outer_iters=50, stop_fraction=0.9, seed=4), True),
-        (core.DekmConfig(k=4, max_outer_iters=3, strategy="all_dims_H", seed=3), False),
-        (core.DekmConfig(k=4, max_outer_iters=0, seed=4), False),
+        (core.DekmConfig(k=4, max_outer_iters=50, seed=4), 0.9, True),
+        (core.DekmConfig(k=4, max_outer_iters=3, strategy="all_dims_H", seed=3), 0.001, False),
+        (core.DekmConfig(k=4, max_outer_iters=0, seed=4), 0.001, False),
     ],
     ids=["stops", "spends_the_budget", "no_updates"],
 )
-def test_run_dekm_records_one_more_pass_than_encoder_updates(monkeypatch, cfg, stops):
+def test_run_dekm_records_one_more_pass_than_encoder_updates(
+    monkeypatch, cfg, stop_fraction, stops
+):
     # the layout the benchmark counts encoder updates from, the count the
     # history reports, and its phase times
+    monkeypatch.setattr(core, "STOP_FRACTION", stop_fraction)
     ds = synthetic_fixture()
     model = pretrained_model(ds, 4)
     steps, trains = [], []

@@ -215,7 +215,7 @@ def test_gen_synthetic_latent_oracle_clustering():
     kw = dict(k=4, per_cluster_n=100, latent_dim=2, ambient_dim=10, separation=20.0, seed=0)
     ds = data.gen_synthetic(**kw)
     latent, _, _ = _replay_synthetic(**kw)
-    res = km.lloyd(latent, 4, km.kmeanspp_init(latent, 4, 0))
+    res = km.lloyd(latent, 4, km.kmeanspp_init(latent, 4, np.random.default_rng(0)))
     assert metrics.acc(ds.labels, res.assignments) >= 0.99
 
 

@@ -18,7 +18,7 @@ RAGGED = [[0], [0, 1]]  # two labels, one of them a pair
 
 
 def _clustering():
-    return km.lloyd(H, 2, km.kmeanspp_init(H, 2, 0))
+    return km.lloyd(H, 2, km.kmeanspp_init(H, 2, np.random.default_rng(0)))
 
 
 def _transform():
@@ -50,7 +50,9 @@ def test_check_matrix_rejects_other_shapes(a, rows, cols):
 CASES = {
     "lloyd_float_k": (ConfigurationError, lambda: km.lloyd(H, 4.0, H[:4])),
     "lloyd_k_above_n": (ConfigurationError, lambda: km.lloyd(H[:2], 3, H[[0, 1, 1]])),
-    "kmeanspp_1d_h": (DimensionError, lambda: km.kmeanspp_init(H[:, 0], 2, 0)),
+    "kmeanspp_1d_h": (
+        DimensionError, lambda: km.kmeanspp_init(H[:, 0], 2, np.random.default_rng(0)),
+    ),
     "lloyd_1d_h": (DimensionError, lambda: km.lloyd(H[:, 0], 2, H[:2, :1])),
     "scatter_1d_h": (DimensionError, lambda: km.within_class_scatter(H[:, 0], _clustering())),
     "targets_1d_h": (
@@ -61,7 +63,10 @@ CASES = {
         DimensionError,
         lambda: core.greedy_targets(H[:, :2], _transform(), _clustering(), "last_dim_Y"),
     ),
-    "kmeanspp_nan_h": (NumericError, lambda: km.kmeanspp_init(np.where(H > 20, np.nan, H), 2, 0)),
+    "kmeanspp_nan_h": (
+        NumericError,
+        lambda: km.kmeanspp_init(np.where(H > 20, np.nan, H), 2, np.random.default_rng(0)),
+    ),
     "loss_1d_targets": (DimensionError, lambda: core.greedy_loss(H, H[0])),
     "loss_short_targets": (DimensionError, lambda: core.greedy_loss(H, H[:4])),
     "gaussian_nan_variance": (ConfigurationError, lambda: metrics.gaussian_entropy([1.0, np.nan])),
@@ -76,7 +81,10 @@ CASES = {
     "model_dims_too_wide": (
         ConfigurationError, lambda: ae.AutoencoderModel([4, 2**63], np.zeros(3)),
     ),
-    "kmeanspp_negative_seed": (ConfigurationError, lambda: km.kmeanspp_init(H, 2, -1)),
+    "kmeanspp_int_seed": (ConfigurationError, lambda: km.kmeanspp_init(H, 2, 0)),
+    "kmeanspp_random_state": (
+        ConfigurationError, lambda: km.kmeanspp_init(H, 2, np.random.RandomState(0)),
+    ),
     "matrix_ragged": (DimensionError, lambda: check_matrix("h", [[1.0, 2.0], [3.0]])),
     "matrix_strings": (ConfigurationError, lambda: check_matrix("h", [["1", "2"]])),
     "matrix_complex": (ConfigurationError, lambda: check_matrix("h", H + 1j)),
@@ -175,14 +183,17 @@ def test_bad_arguments_fail_at_the_boundary(case):
 
 
 def test_check_real_takes_a_finite_number_above_zero():
-    for value in (5e-324, 1, 0.5, np.float64(2.0), sys.float_info.max):
+    for value in (5e-324, 1, 0.5, np.float64(2.0), sys.float_info.max, np.float32(5.0),
+                  np.int64(3)):
         check_real("x", value)
 
 
 # 0.0 passed when Lloyd's tol was a setting; nothing takes zero now
 @pytest.mark.parametrize(
-    "value", [0.0, -1.0, float("nan"), float("inf"), True, "1", 10**400],
-    ids=["zero", "negative", "nan", "inf", "bool", "str", "10**400"],
+    "value", [0.0, -1.0, float("nan"), float("inf"), True, "1", 10**400, np.float32("inf"),
+              np.float32("nan"), np.longdouble("1e400")],
+    ids=["zero", "negative", "nan", "inf", "bool", "str", "10**400", "float32_inf",
+         "float32_nan", "longdouble_1e400"],
 )
 def test_check_real_rejects_all_else(value):
     with pytest.raises(ConfigurationError, match="x must be a finite number > 0"):

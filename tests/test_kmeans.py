@@ -11,26 +11,26 @@ from dekm.core import build_transform
 from conftest import brute_force_kmeans
 
 
-def lloyd_pp(h, k, seed, **kw):
-    return km.lloyd(h, k, km.kmeanspp_init(h, k, seed), **kw)
+def lloyd_pp(h, k, seed):
+    return km.lloyd(h, k, km.kmeanspp_init(h, k, np.random.default_rng(seed)))
 
 
 def test_kmeanspp_k_equals_n_is_permutation(rng):
     h = rng.normal(size=(6, 2))
-    cents = km.kmeanspp_init(h, 6, 0)
+    cents = km.kmeanspp_init(h, 6, np.random.default_rng(0))
     # D^2 weighting forces distinct points
     assert {tuple(c) for c in cents} == {tuple(p) for p in h}
 
 
 def test_kmeanspp_k1_picks_a_point(rng):
     h = rng.normal(size=(5, 3))
-    cents = km.kmeanspp_init(h, 1, 7)
+    cents = km.kmeanspp_init(h, 1, np.random.default_rng(7))
     assert any(np.array_equal(cents[0], p) for p in h)
 
 
 def test_kmeanspp_rejects_k_gt_n():
     with pytest.raises(ConfigurationError):
-        km.kmeanspp_init(np.zeros((2, 2)), 3, 0)
+        km.kmeanspp_init(np.zeros((2, 2)), 3, np.random.default_rng(0))
 
 
 def test_kmeanspp_spreads_over_separated_pairs():
@@ -39,7 +39,7 @@ def test_kmeanspp_spreads_over_separated_pairs():
     h = np.array([[0.0, 0.0], [0.1, 0.0], [100.0, 0.0], [100.1, 0.0]])
     hits = 0
     for seed in range(1000):
-        cents = km.kmeanspp_init(h, 2, seed)
+        cents = km.kmeanspp_init(h, 2, np.random.default_rng(seed))
         sides = {c[0] > 50.0 for c in cents}
         hits += len(sides) == 2
     assert hits >= 990
@@ -64,7 +64,7 @@ def test_lloyd_two_pairs_fixture():
 @pytest.mark.parametrize("k", [3.5, "3", True])
 def test_kmeanspp_rejects_a_k_that_is_not_an_integer(k):
     with pytest.raises(ConfigurationError, match="k must be an integer"):
-        km.kmeanspp_init(np.arange(10.0).reshape(5, 2), k, 0)
+        km.kmeanspp_init(np.arange(10.0).reshape(5, 2), k, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("name", ["max_iter", "tol"])
@@ -191,7 +191,7 @@ def test_kmeans_trajectory_is_pinned():
     # test_kmeans_trajectory_matches_uncached_distances checks the same
     # property on any BLAS.
     x = _pinned_input()
-    seeds = km.kmeanspp_init(x, 32, 15149)
+    seeds = km.kmeanspp_init(x, 32, np.random.default_rng(15149))
     res = km.lloyd(x, 32, seeds)
     assert _sha256(seeds, "<f8") == (
         "f1a1ba0b1c634f38505dd9558156f3ad07b9a03ecda2384b57555963b0e60a84"
@@ -210,10 +210,10 @@ def test_kmeans_trajectory_is_pinned():
 
 def test_kmeans_trajectory_matches_uncached_distances(monkeypatch):
     x = _pinned_input()
-    seeds = km.kmeanspp_init(x, 32, 15149)
+    seeds = km.kmeanspp_init(x, 32, np.random.default_rng(15149))
     res = km.lloyd(x, 32, seeds)
     monkeypatch.setattr(km, "_sq_dists", _uncached_sq_dists)
-    ref_seeds = km.kmeanspp_init(x, 32, 15149)
+    ref_seeds = km.kmeanspp_init(x, 32, np.random.default_rng(15149))
     ref = km.lloyd(x, 32, ref_seeds)
     assert np.array_equal(seeds, ref_seeds)
     assert np.array_equal(res.assignments, ref.assignments)
@@ -233,11 +233,10 @@ def _reference_sq_dists(h, c, h_norms):
     return np.maximum(h_norms[:, None] - 2.0 * (h @ c.T) + np.sum(c * c, axis=1)[None, :], 0.0)
 
 
-def _reference_kmeanspp_init(h, k, seed):
+def _reference_kmeanspp_init(h, k, rng):
     # the seeding loop with a separate D^2 path for the first centre and an
     # update after the k-th draw that nothing reads
     n = h.shape[0]
-    rng = np.random.default_rng(seed)
 
     h_norms = km._row_norms(h)
     chosen = np.empty(k, dtype=int)
@@ -343,15 +342,13 @@ def test_kmeanspp_matches_the_reference_seeding_bit_for_bit(monkeypatch, seed):
     for h in (random_rows, np.asfortranarray(random_rows), duplicates):
         for k in (1, 2, n):
             calls.clear()
-            seeds = km.kmeanspp_init(h, k, seed)
+            g, g_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            seeds = km.kmeanspp_init(h, k, g)
             assert calls == [1] * (k - 1)
-            ref = _reference_kmeanspp_init(h, k, seed)
+            ref = _reference_kmeanspp_init(h, k, g_ref)
             assert np.array_equal(seeds, ref)
             assert not np.shares_memory(seeds, h)
-            # a Generator is consumed in the same draw order
-            g, g_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            km.kmeanspp_init(h, k, g)
-            _reference_kmeanspp_init(h, k, g_ref)
+            # the Generator is consumed in the same draw order
             assert g.random() == g_ref.random()
 
 

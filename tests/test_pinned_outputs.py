@@ -18,7 +18,10 @@ old outputs hashed with that one key dropped, so no float moved. They were
 re-recorded again when the per-pass ``seconds`` left the run record:
 ``history.jsonl`` lost its ``"seconds": null`` key on every line, and the
 new digests equal the old outputs hashed with that key dropped from each
-line, so again no float moved. The GEMM
+line, so again no float moved. When the stop threshold became the
+constant ``core.STOP_FRACTION``, the ``early_stop`` case began to set it to
+0.07 with ``monkeypatch`` instead of through ``DekmConfig``; no digest
+moved. The GEMM
 summation order belongs to the BLAS kernel, so they hold only for the BLAS
 build they were recorded with (OpenBLAS, x86-64) and for the runtime kernel
 that OpenBLAS picked for the CPU (SkylakeX). Under ``OPENBLAS_CORETYPE=Haswell`` eleven
@@ -34,7 +37,7 @@ import numpy as np
 import pytest
 
 from dekm import autoencoder as ae
-from dekm import cli, data
+from dekm import cli, core, data
 from dekm.core import DekmConfig, run_dekm
 
 
@@ -66,10 +69,10 @@ RUN_DEKM_CASES = {
         dict(max_outer_iters=4),
         "1437839a2f7db8606e2c9889c15318cb64d48d923556435f00bd8fc633e64e8a",
     ),
-    # stops at iteration 2 (0.0625 < 0.07); the final record repeats that
-    # pass's clustering
+    # with core.STOP_FRACTION at 0.07, stops at iteration 2 (0.0625 < 0.07);
+    # the final record repeats that pass's clustering
     "early_stop": (
-        dict(max_outer_iters=4, stop_fraction=0.07),
+        dict(max_outer_iters=4),
         "f1d5b7724b2d3105b4a2e30c04e1da75ad36ddbdcce7a428714a54a18512edf8",
     ),
     "zero_iters": (
@@ -93,9 +96,11 @@ RUN_DEKM_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(RUN_DEKM_CASES))
-def test_run_dekm_is_pinned(pretrained, case):
+def test_run_dekm_is_pinned(pretrained, monkeypatch, case):
     ds, m = pretrained
     overrides, digest = RUN_DEKM_CASES[case]
+    if case == "early_stop":
+        monkeypatch.setattr(core, "STOP_FRACTION", 0.07)
     cfg = DekmConfig(k=4, inner_batch_size=32, seed=3, **overrides)
     result, model, history = run_dekm(m.copy(), ds.x, cfg, labels=ds.labels)
     got = _sha256(
